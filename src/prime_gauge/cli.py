@@ -10,26 +10,11 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
-from .scan_report import (
-    RenderedTable,
-    ScanRecord,
-    ColumnSpec,
-    emit,
-    reproduce_table,
-    run_scan,
-)
-from .conjectures import (
-    brocard_count,
-    brocard_decomposition,
-    conj4_crossover,
-    nagura_check,
-    nth_prime_bound,
-    threshold_search,
-)
-from .sieve import DEFAULT_BUDGET, PiTable, build_basis
-import math
+from .scan_report import THRESHOLD_COLUMNS, TableSpec, emit, reproduce_table, run_scan
+from .sieve import DEFAULT_BUDGET
 
 BUDGET_ENV_VAR = "PRIME_GAUGE_BUDGET"
 MIN_BUDGET = 10_000
@@ -50,7 +35,7 @@ class Config:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=None, help="sieve budget (max reachable integer)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads for scans")
+    sub.add_argument("--threads", type=int, default=None, help="accepted but has no effect")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -133,69 +118,41 @@ def _resolve_config(args: argparse.Namespace) -> Config:
     return Config(budget=budget, threads=threads, fmt=args.fmt, out=args.out)
 
 
-def _dispatch(args: argparse.Namespace, cfg: Config):
-    """Build the payload for one subcommand; returns (payload, all_passed)."""
-    cmd = args.command
-    if cmd == "leg":
-        records = run_scan("improved_legendre", [{"n": args.n}], budget=cfg.budget)
-    elif cmd == "leg-scan":
-        grid = [{"n": n} for n in range(args.start, args.stop + 1)]
-        records = run_scan("improved_legendre", grid, budget=cfg.budget, threads=cfg.threads)
-    elif cmd == "bounds":
-        records = run_scan("conj_bounds", [{"n": args.n}], budget=cfg.budget)
-    elif cmd == "count":
-        records = run_scan("count", [{"n": args.n, "k": args.k}], budget=cfg.budget)
-    elif cmd == "threshold":
-        res = threshold_search(args.k, args.scan_limit, PiTable(budget=cfg.budget))
-        table = RenderedTable(
-            0,
-            ["k", "formula_a", "observed_threshold", "last_failing_n", "scan_limit", "holds"],
-            [[res.k, res.formula_a, res.observed_threshold, res.last_failing_n,
-              res.scan_limit, "true" if res.conjecture_holds_on_scan else "false"]],
-        )
-        return table, res.conjecture_holds_on_scan
-    elif cmd == "brocard":
-        table = PiTable(budget=cfg.budget)
-        value = brocard_count(args.i, table)
-        # The at-least-4 claim relies on consecutive odd primes, so i = 1
-        # is surfaced but not judged.
-        passed = value >= 4 if args.i >= 2 else True
-        records = [
-            ScanRecord("brocard", {"i": args.i}, value, {"min_required": 4.0}, passed)
-        ]
-        if args.decompose:
-            first, second = brocard_decomposition(args.i, table)
-            records.append(
-                ScanRecord("brocard_left", {"i": args.i}, first, {"min_required": 2.0}, first >= 2)
-            )
-            records.append(
-                ScanRecord("brocard_right", {"i": args.i}, second, {"min_required": 2.0}, second >= 2)
-            )
-    elif cmd == "nth-bound":
-        records = run_scan("nth_prime_bound", [{"n": args.n}], budget=cfg.budget)
-    elif cmd == "ubcount":
-        records = run_scan("conj4", [{"n": args.n, "k": args.k}], budget=cfg.budget)
-    elif cmd == "crossover":
-        value = conj4_crossover(args.k)
-        records = [
-            ScanRecord("conj4_crossover", {"k": args.k}, value, {"two_k": float(2 * args.k)}, True)
-        ]
-    elif cmd == "rosser":
-        records = run_scan("rosser", [{"n": args.n}], budget=cfg.budget)
-    elif cmd == "nagura":
-        basis = build_basis(max(2, math.isqrt(6 * args.n // 5) + 1))
-        ok = nagura_check(args.n, basis, budget=cfg.budget)
-        records = [
-            ScanRecord("nagura", {"n": args.n}, 1 if ok else 0, {"min_required": 1.0}, ok)
-        ]
-    elif cmd == "pnt-ratio":
-        records = run_scan("pnt_ratio", [{"n": args.n}], budget=cfg.budget)
-    elif cmd == "table":
-        table = reproduce_table(args.id, budget=cfg.budget, threads=cfg.threads)
-        return table, True
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown subcommand {cmd!r}")
-    return records, all(rec.passed for rec in records)
+def _scan(rule: str, grid: Callable[[argparse.Namespace], list[dict[str, int]]]):
+    """A subcommand that prints one registry rule's records over a grid built from its arguments."""
+
+    def run(args: argparse.Namespace, cfg: Config):
+        records = run_scan(rule, grid(args), budget=cfg.budget, threads=cfg.threads)
+        return records, all(rec.passed for rec in records)
+
+    return run
+
+
+def _threshold(args: argparse.Namespace, cfg: Config):
+    grid = [{"k": args.k, "scan_limit": args.scan_limit}]
+    records = run_scan("threshold", grid, budget=cfg.budget, threads=cfg.threads)
+    return TableSpec(0, "threshold", grid, THRESHOLD_COLUMNS).tabulate(records), records[0].passed
+
+
+# Subcommand -> how it builds its payload and verdict, (payload, all_passed).
+COMMANDS: dict[str, Callable[[argparse.Namespace, Config], tuple]] = {
+    "leg": _scan("improved_legendre", lambda a: [{"n": a.n}]),
+    "leg-scan": _scan(
+        "improved_legendre", lambda a: [{"n": n} for n in range(a.start, a.stop + 1)]
+    ),
+    "bounds": _scan("conj_bounds", lambda a: [{"n": a.n}]),
+    "count": _scan("count", lambda a: [{"n": a.n, "k": a.k}]),
+    "threshold": _threshold,
+    "brocard": _scan("brocard", lambda a: [{"i": a.i, "decompose": int(a.decompose)}]),
+    "nth-bound": _scan("nth_prime_bound", lambda a: [{"n": a.n}]),
+    "ubcount": _scan("conj4", lambda a: [{"n": a.n, "k": a.k}]),
+    "crossover": _scan("conj4_crossover", lambda a: [{"k": a.k}]),
+    "rosser": _scan("rosser", lambda a: [{"n": a.n}]),
+    "nagura": _scan("nagura", lambda a: [{"n": a.n}]),
+    "pnt-ratio": _scan("pnt_ratio", lambda a: [{"n": a.n}]),
+    # A reproduced table is not a check, so it always passes.
+    "table": lambda a, cfg: (reproduce_table(a.id, budget=cfg.budget, threads=cfg.threads), True),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -206,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        payload, all_passed = _dispatch(args, cfg)
+        payload, all_passed = COMMANDS[args.command](args, cfg)
         emit(payload, cfg.fmt, cfg.out if cfg.out is not None else sys.stdout)
         if not all_passed:
             failing = []

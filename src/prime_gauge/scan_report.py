@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Mapping, TextIO, Union
 
 from .errors import BudgetError, UsageError
 from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
 from .conjectures import (
+    brocard_count,
+    brocard_decomposition,
     conj4_bound,
+    conj4_crossover,
     evaluate_leg,
     interval_count,
     leg,
     leg_many,
+    nagura_check,
     nth_prime_bound,
     pnt_ratio,
     rosser_check,
@@ -81,82 +83,125 @@ class ScanContext:
         self.budget = budget
         self._table: PiTable | None = None
         self._basis: PrimeBasis | None = None
-        self._lock = threading.RLock()
 
     @property
     def table(self) -> PiTable:
-        with self._lock:
-            if self._table is None:
-                self._table = PiTable(budget=self.budget)
-            return self._table
+        if self._table is None:
+            self._table = PiTable(budget=self.budget)
+        return self._table
 
     def basis_for(self, limit: int) -> PrimeBasis:
-        with self._lock:
-            if self._basis is None or self._basis.limit < limit:
-                self._basis = build_basis(max(limit, 2))
-            return self._basis
+        if self._basis is None or self._basis.limit < limit:
+            self._basis = build_basis(max(limit, 2))
+        return self._basis
 
 
-def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+# Each rule evaluates one grid point into its records. Library functions are
+# called through this module's globals at call time, so patching a module
+# attribute reaches every rule.
+
+
+def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
     value = leg(n, ctx.basis_for(n + 1), budget=ctx.budget)
-    return ScanRecord("improved_legendre", {"n": n}, value, {"lower": 2.0}, value >= 2)
+    return [ScanRecord("improved_legendre", {"n": n}, value, {"lower": 2.0}, value >= 2)]
 
 
-def _rule_conj_bounds(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_conj_bounds(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
     ev = evaluate_leg(n, ctx.basis_for(n + 1), budget=ctx.budget)
     bounds = {"lower": ev.conj_lb, "upper": ev.conj_ub, "rosser_upper": ev.rosser_ub}
-    return ScanRecord("conj_bounds", {"n": n}, ev.leg, bounds, ev.within_conj_bounds)
+    return [ScanRecord("conj_bounds", {"n": n}, ev.leg, bounds, ev.within_conj_bounds)]
 
 
-def _rule_conj3(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_conj3(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n, k = point["n"], point["k"]
     value = interval_count(n, k, ctx.table)
-    return ScanRecord("conj3", {"n": n, "k": k}, value, {"min_required": float(k - 1)}, value >= k - 1)
+    bounds = {"min_required": float(k - 1)}
+    return [ScanRecord("conj3", {"n": n, "k": k}, value, bounds, value >= k - 1)]
 
 
-def _rule_conj4(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_conj4(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n, k = point["n"], point["k"]
     value = interval_count(n, k, ctx.table)
     bound = conj4_bound(n, k)
-    return ScanRecord("conj4", {"n": n, "k": k}, value, {"upper": bound}, value <= bound)
+    return [ScanRecord("conj4", {"n": n, "k": k}, value, {"upper": bound}, value <= bound)]
 
 
-def _rule_nth_prime_bound(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_nth_prime_bound(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
     res = nth_prime_bound(n, ctx.table)
-    actual = res.actual if res.actual is not None else -1
-    passed = res.actual is None or res.actual < res.bound
-    return ScanRecord("nth_prime_bound", {"n": n}, actual, {"upper": float(res.bound)}, passed)
+    if res.actual is None:
+        # A bound that cannot be compared with p_n is unverified, not a pass.
+        raise BudgetError(f"prime #{n} lies beyond the budget {ctx.budget}; bound unverified")
+    bounds = {"upper": float(res.bound)}
+    return [ScanRecord("nth_prime_bound", {"n": n}, res.actual, bounds, res.actual < res.bound)]
 
 
-def _rule_rosser(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_rosser(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
     ok = rosser_check(n, ctx.table)
     base = n / math.log(n)
-    return ScanRecord("rosser", {"n": n}, ctx.table.pi(n), {"lower": base, "upper": 1.25 * base}, ok)
+    bounds = {"lower": base, "upper": 1.25 * base}
+    return [ScanRecord("rosser", {"n": n}, ctx.table.pi(n), bounds, ok)]
 
 
-def _rule_bertrand(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_bertrand(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
     iv = Interval(n, 2 * n, lo_open=False, hi_open=True)
     value = count_primes(iv, ctx.basis_for(math.isqrt(2 * n) + 1), budget=ctx.budget)
-    return ScanRecord("bertrand", {"n": n}, value, {"min_required": 1.0}, value >= 1)
+    return [ScanRecord("bertrand", {"n": n}, value, {"min_required": 1.0}, value >= 1)]
 
 
-def _rule_count(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_nagura(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
+    n = point["n"]
+    ok = nagura_check(n, ctx.basis_for(math.isqrt(6 * n // 5) + 1), budget=ctx.budget)
+    return [ScanRecord("nagura", {"n": n}, 1 if ok else 0, {"min_required": 1.0}, ok)]
+
+
+def _rule_count(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n, k = point["n"], point["k"]
     value = interval_count(n, k, ctx.table)
-    return ScanRecord("count", {"n": n, "k": k}, value, {}, True)
+    return [ScanRecord("count", {"n": n, "k": k}, value, {}, True)]
 
 
-def _rule_pnt_ratio(ctx: ScanContext, point: Mapping[str, int]) -> ScanRecord:
+def _rule_pnt_ratio(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    return ScanRecord("pnt_ratio", {"n": n}, pnt_ratio(n, ctx.table), {}, True)
+    return [ScanRecord("pnt_ratio", {"n": n}, pnt_ratio(n, ctx.table), {}, True)]
 
 
-RULES: dict[str, Callable[[ScanContext, Mapping[str, int]], ScanRecord]] = {
+def _rule_threshold(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
+    k, limit = point["k"], point["scan_limit"]
+    res = threshold_search(k, limit, ctx.table)
+    # The formula bounds the threshold: the scan holds iff observed <= formula_a.
+    bounds = {"upper": float(res.formula_a)}
+    inputs = {"k": k, "scan_limit": limit}
+    holds = res.conjecture_holds_on_scan
+    return [ScanRecord("threshold", inputs, res.observed_threshold, bounds, holds)]
+
+
+def _rule_brocard(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
+    """Brocard's count; a nonzero `decompose` adds its two end subintervals."""
+    i = point["i"]
+    value = brocard_count(i, ctx.table)
+    # The at-least-4 claim relies on consecutive odd primes, so i = 1
+    # is surfaced but not judged.
+    passed = value >= 4 if i >= 2 else True
+    records = [ScanRecord("brocard", {"i": i}, value, {"min_required": 4.0}, passed)]
+    if point.get("decompose"):
+        first, second = brocard_decomposition(i, ctx.table)
+        for rule, part in (("brocard_left", first), ("brocard_right", second)):
+            records.append(ScanRecord(rule, {"i": i}, part, {"min_required": 2.0}, part >= 2))
+    return records
+
+
+def _rule_conj4_crossover(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
+    k = point["k"]
+    value = conj4_crossover(k)
+    return [ScanRecord("conj4_crossover", {"k": k}, value, {"two_k": float(2 * k)}, True)]
+
+
+RULES: dict[str, Callable[[ScanContext, Mapping[str, int]], list[ScanRecord]]] = {
     "improved_legendre": _rule_improved_legendre,
     "conj_bounds": _rule_conj_bounds,
     "conj3": _rule_conj3,
@@ -164,9 +209,41 @@ RULES: dict[str, Callable[[ScanContext, Mapping[str, int]], ScanRecord]] = {
     "nth_prime_bound": _rule_nth_prime_bound,
     "rosser": _rule_rosser,
     "bertrand": _rule_bertrand,
+    "nagura": _rule_nagura,
     "count": _rule_count,
     "pnt_ratio": _rule_pnt_ratio,
+    "threshold": _rule_threshold,
+    "brocard": _rule_brocard,
+    "conj4_crossover": _rule_conj4_crossover,
 }
+
+
+def _evaluate(
+    rule: str, points: list[dict[str, int]], budget: int, where: str = ""
+) -> list[ScanRecord]:
+    """The records of `rule` over `points`, in order.
+
+    With `where`, a template naming one point, a budget error names the point
+    that raised it.
+    """
+    if rule == "improved_legendre" and len(points) > 1:
+        # One streaming sieve pass instead of one interval sieve per n.
+        counts = leg_many([p["n"] for p in points], budget=budget)
+        return [
+            ScanRecord(rule, {"n": p["n"]}, counts[p["n"]], {"lower": 2.0}, counts[p["n"]] >= 2)
+            for p in points
+        ]
+    ctx = ScanContext(budget)
+    fn = RULES[rule]
+    records: list[ScanRecord] = []
+    for point in points:
+        try:
+            records += fn(ctx, point)
+        except BudgetError as exc:
+            if not where:
+                raise
+            raise BudgetError(f"{where.format(**point)}: {exc}") from exc
+    return records
 
 
 def run_scan(
@@ -176,49 +253,66 @@ def run_scan(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[ScanRecord]:
-    """One record per grid point, in input order; failures are collected."""
+    """Records for every grid point, in input order; failures are collected.
+
+    `threads` is accepted for compatibility and has no effect: the scan runs
+    in the calling thread.
+    """
     if rule not in RULES:
         raise UsageError(f"unknown scan rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    points = [dict(p) for p in input_grid]
-    if not points:
-        return []
-    ctx = ScanContext(budget)
-    if rule == "improved_legendre" and len(points) > 1:
-        # One streaming sieve pass instead of one interval sieve per n.
-        counts = leg_many([p["n"] for p in points], budget=budget)
-        return [
-            ScanRecord(rule, {"n": p["n"]}, counts[p["n"]], {"lower": 2.0}, counts[p["n"]] >= 2)
-            for p in points
-        ]
-    fn = RULES[rule]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: fn(ctx, p), points))
-    return [fn(ctx, p) for p in points]
+    return _evaluate(rule, [dict(p) for p in input_grid], budget)
 
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """A rendered column: its name and how raw cell values are printed."""
+    """A rendered column: its name, where its value comes from, and how it is printed.
+
+    The value is `row[source]`, or `source(row)` when it is callable, where
+    the row is a record's flat form plus its `paper_value`. Without a
+    source the column reads the row key of its own name.
+    """
 
     name: str
     kind: str  # "int" | "real1" | "real2dn" | "text"
+    source: Union[str, Callable[[dict], object]] = ""
 
-    def render(self, value) -> Union[int, str]:
+    def render(self, row: dict) -> Union[int, str]:
+        source = self.source or self.name
+        value = source(row) if callable(source) else row[source]
         if self.kind == "int":
             return int(value)
         if self.kind == "real1":
             return round1(float(value))
         if self.kind == "real2dn":
             return trunc2(float(value))
-        return str(value)
+        return _format_cell(value)
 
 
 @dataclass(frozen=True)
 class TableSpec:
+    """A table as data: one registry rule over a grid, and a column map from its records.
+
+    `cell` names one grid point (`str.format` over the point), both in budget
+    errors and as the key of `disputed`: published cells that disagree with
+    the formulas they claim to tabulate, emitted in the `paper_value` column
+    next to our computed values.
+    """
+
     table_id: int
-    row_inputs: list[dict[str, int]]
+    rule: str
+    grid: list[dict[str, int]]
     columns: list[ColumnSpec]
+    cell: str = ""
+    disputed: Mapping[str, str] = field(default_factory=dict)
+
+    def tabulate(self, records: list[ScanRecord]) -> "RenderedTable":
+        """One rendered row per record."""
+        rows = []
+        for rec in records:
+            row = rec.to_flat()
+            row["paper_value"] = self.disputed.get(self.cell.format(**rec.inputs), "")
+            rows.append([c.render(row) for c in self.columns])
+        return RenderedTable(self.table_id, [c.name for c in self.columns], rows)
 
 
 @dataclass(frozen=True)
@@ -244,71 +338,6 @@ TABLE5_NS = [10, 50, 100, 500, 1000, 5000]
 TABLE5_KS = [2, 5, 10, 50, 100]
 TABLE4_NS = [32, 987, 2000]
 
-# Published cells that disagree with the formulas they claim to tabulate;
-# emitted as annotations next to our computed values.
-DISPUTED_CELLS = {
-    (3, "formula_value", 5): "2.21",
-    (3, "formula_value", 160): "6.27",
-    (2, "conj_lower", 500): "27.3",
-    (2, "conj_lower", 2000): "88.2",
-    # 4999 is prime; the published 2094 only results from closing the
-    # interval at it, contradicting the open count used everywhere else.
-    (5, "actual", (5000, 5)): "2094",
-}
-
-TABLE_SPECS: dict[int, TableSpec] = {
-    1: TableSpec(
-        1,
-        [{"n": n} for n in range(1, 11)],
-        [ColumnSpec("n", "int"), ColumnSpec("leg", "int")],
-    ),
-    2: TableSpec(
-        2,
-        [{"n": n} for n in TABLE2_NS],
-        [
-            ColumnSpec("n", "int"),
-            ColumnSpec("leg", "int"),
-            ColumnSpec("rosser_upper", "real1"),
-            ColumnSpec("conj_lower", "real1"),
-            ColumnSpec("conj_upper", "real1"),
-            ColumnSpec("paper_value", "text"),
-        ],
-    ),
-    3: TableSpec(
-        3,
-        [{"k": k} for k in TABLE3_KS],
-        [
-            ColumnSpec("k", "int"),
-            ColumnSpec("actual_threshold", "int"),
-            ColumnSpec("formula_value", "real2dn"),
-            ColumnSpec("estimate_a", "int"),
-            ColumnSpec("scan_limit", "int"),
-            ColumnSpec("paper_value", "text"),
-        ],
-    ),
-    4: TableSpec(
-        4,
-        [{"n": n} for n in TABLE4_NS],
-        [
-            ColumnSpec("n", "int"),
-            ColumnSpec("nth_prime", "int"),
-            ColumnSpec("pow2_upper", "text"),
-            ColumnSpec("our_upper", "int"),
-        ],
-    ),
-    5: TableSpec(
-        5,
-        [{"n": n, "k": k} for n in TABLE5_NS for k in TABLE5_KS],
-        [
-            ColumnSpec("n", "int"),
-            ColumnSpec("k", "int"),
-            ColumnSpec("actual", "int"),
-            ColumnSpec("bound", "real1"),
-            ColumnSpec("paper_value", "text"),
-        ],
-    ),
-}
-
 
 def _pow2_cell(n: int) -> str:
     value = 1 << n
@@ -317,104 +346,105 @@ def _pow2_cell(n: int) -> str:
     return f"{len(str(value))}-digit"
 
 
+TABLE_SPECS: dict[int, TableSpec] = {
+    1: TableSpec(
+        1,
+        "improved_legendre",
+        [{"n": n} for n in range(1, 11)],
+        [ColumnSpec("n", "int"), ColumnSpec("leg", "int", "actual")],
+    ),
+    2: TableSpec(
+        2,
+        "conj_bounds",
+        [{"n": n} for n in TABLE2_NS],
+        [
+            ColumnSpec("n", "int"),
+            ColumnSpec("leg", "int", "actual"),
+            ColumnSpec("rosser_upper", "real1", "bound_rosser_upper"),
+            ColumnSpec("conj_lower", "real1", "bound_lower"),
+            ColumnSpec("conj_upper", "real1", "bound_upper"),
+            ColumnSpec("paper_value", "text"),
+        ],
+        cell="row n={n}",
+        disputed={"row n=500": "27.3", "row n=2000": "88.2"},  # conj_lower
+    ),
+    3: TableSpec(
+        3,
+        "threshold",
+        [
+            {"k": k, "scan_limit": TABLE3_LARGE_K_SCAN_LIMIT}
+            if k in TABLE3_LARGE_KS
+            else {"k": k, "scan_limit": TABLE3_DEFAULT_SCAN_LIMIT}
+            for k in TABLE3_KS
+        ],
+        [
+            ColumnSpec("k", "int"),
+            ColumnSpec("actual_threshold", "int", "actual"),
+            ColumnSpec("formula_value", "real2dn", lambda row: 1.1 * math.log(2.5 * row["k"])),
+            ColumnSpec("estimate_a", "int", "bound_upper"),
+            ColumnSpec("scan_limit", "int"),
+            ColumnSpec("paper_value", "text"),
+        ],
+        cell="column k={k}",
+        disputed={"column k=5": "2.21", "column k=160": "6.27"},  # formula_value
+    ),
+    4: TableSpec(
+        4,
+        "nth_prime_bound",
+        [{"n": n} for n in TABLE4_NS],
+        [
+            ColumnSpec("n", "int"),
+            ColumnSpec("nth_prime", "int", "actual"),
+            ColumnSpec("pow2_upper", "text", lambda row: _pow2_cell(row["n"])),
+            ColumnSpec("our_upper", "int", "bound_upper"),
+        ],
+        cell="row n={n}",
+    ),
+    5: TableSpec(
+        5,
+        "conj4",
+        [{"n": n, "k": k} for n in TABLE5_NS for k in TABLE5_KS],
+        [
+            ColumnSpec("n", "int"),
+            ColumnSpec("k", "int"),
+            ColumnSpec("actual", "int"),
+            ColumnSpec("bound", "real1", "bound_upper"),
+            ColumnSpec("paper_value", "text"),
+        ],
+        cell="cell (n={n}, k={k})",
+        # 4999 is prime; the published 2094 only results from closing the
+        # interval at it, contradicting the open count used everywhere else.
+        disputed={"cell (n=5000, k=5)": "2094"},  # actual
+    ),
+}
+
+# The `threshold` subcommand's one-row table. The threshold is one past the
+# last failing n, so last_failing_n = actual - 1.
+THRESHOLD_COLUMNS = [
+    ColumnSpec("k", "int"),
+    ColumnSpec("formula_a", "int", "bound_upper"),
+    ColumnSpec("observed_threshold", "int", "actual"),
+    ColumnSpec("last_failing_n", "int", lambda row: row["actual"] - 1),
+    ColumnSpec("scan_limit", "int"),
+    ColumnSpec("holds", "text", "pass"),
+]
+
+
 def reproduce_table(
     table_id: int,
     *,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> RenderedTable:
-    """Recompute one of the five published tables from scratch."""
+    """Recompute one of the five published tables from scratch.
+
+    `threads` is accepted for compatibility and has no effect.
+    """
     spec = TABLE_SPECS.get(table_id)
     if spec is None:
         raise UsageError(f"unknown table id {table_id}; expected 1..5")
-    ctx = ScanContext(budget)
-    rows: list[list[Union[int, str]]] = []
-    cols = spec.columns
-
-    def render(raw: dict) -> list[Union[int, str]]:
-        return [c.render(raw[c.name]) for c in cols]
-
-    if spec.table_id == 1:
-        counts = leg_many([r["n"] for r in spec.row_inputs], budget=budget)
-        rows = [render({"n": n, "leg": counts[n]}) for n in (r["n"] for r in spec.row_inputs)]
-    elif spec.table_id == 2:
-        basis = ctx.basis_for(max(r["n"] for r in spec.row_inputs) + 1)
-        for r in spec.row_inputs:
-            n = r["n"]
-            try:
-                ev = evaluate_leg(n, basis, budget=budget)
-            except BudgetError as exc:
-                raise BudgetError(f"table 2, row n={n}: {exc}") from exc
-            note = DISPUTED_CELLS.get((2, "conj_lower", n), "")
-            rows.append(
-                render(
-                    {
-                        "n": n,
-                        "leg": ev.leg,
-                        "rosser_upper": ev.rosser_ub,
-                        "conj_lower": ev.conj_lb,
-                        "conj_upper": ev.conj_ub,
-                        "paper_value": note,
-                    }
-                )
-            )
-    elif spec.table_id == 3:
-        def one_k(k: int) -> dict:
-            limit = TABLE3_LARGE_K_SCAN_LIMIT if k in TABLE3_LARGE_KS else TABLE3_DEFAULT_SCAN_LIMIT
-            try:
-                res = threshold_search(k, limit, ctx.table)
-            except BudgetError as exc:
-                raise BudgetError(f"table 3, column k={k}: {exc}") from exc
-            return {
-                "k": k,
-                "actual_threshold": res.observed_threshold,
-                "formula_value": 1.1 * math.log(2.5 * k),
-                "estimate_a": res.formula_a,
-                "scan_limit": res.scan_limit,
-                "paper_value": DISPUTED_CELLS.get((3, "formula_value", k), ""),
-            }
-
-        ks = [r["k"] for r in spec.row_inputs]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                raws = list(pool.map(one_k, ks))
-        else:
-            raws = [one_k(k) for k in ks]
-        rows = [render(raw) for raw in raws]
-    elif spec.table_id == 4:
-        for r in spec.row_inputs:
-            n = r["n"]
-            res = nth_prime_bound(n, ctx.table)
-            rows.append(
-                render(
-                    {
-                        "n": n,
-                        "nth_prime": res.actual,
-                        "pow2_upper": _pow2_cell(n),
-                        "our_upper": res.bound,
-                    }
-                )
-            )
-    else:
-        for r in spec.row_inputs:
-            n, k = r["n"], r["k"]
-            try:
-                actual = interval_count(n, k, ctx.table)
-            except BudgetError as exc:
-                raise BudgetError(f"table 5, cell (n={n}, k={k}): {exc}") from exc
-            rows.append(
-                render(
-                    {
-                        "n": n,
-                        "k": k,
-                        "actual": actual,
-                        "bound": conj4_bound(n, k),
-                        "paper_value": DISPUTED_CELLS.get((5, "actual", (n, k)), ""),
-                    }
-                )
-            )
-
-    return RenderedTable(spec.table_id, [c.name for c in cols], rows)
+    where = f"table {table_id}, {spec.cell}" if spec.cell else ""
+    return spec.tabulate(_evaluate(spec.rule, spec.grid, budget, where))
 
 
 def _format_cell(value) -> str:

@@ -262,8 +262,14 @@ class PiTable:
             if p > self.budget:
                 raise BudgetError(f"prime #{i} = {p} lies beyond the budget {self.budget}")
             return p
+        # Dusart (1999): p_i > i (ln i + ln ln i - 1) for i >= 2. Rejecting on
+        # it needs no sieving; the slack keeps float rounding from rejecting a
+        # prime that lies within the budget.
+        lnln = math.log(math.log(i))
+        if i * (math.log(i) + lnln - 1) * (1 - 1e-9) - 1 > self.budget:
+            raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
         # Rosser: p_i < i (ln i + ln ln i) for i >= 6.
-        est = int(i * (math.log(i) + math.log(math.log(i)))) + 2
+        est = int(i * (math.log(i) + lnln)) + 2
         if est > self.budget:
             if self.pi(self.budget) < i:
                 raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")

@@ -99,6 +99,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--n", "5000", "--k", "3", "--budget", "10000")
         assert code == 3
 
+    def test_unverified_nth_bound_is_budget_error(self, capsys):
+        # p_100000 = 1299709 lies beyond the budget, so the bound cannot be checked.
+        code, out, err = run(capsys, "nth-bound", "--n", "100000", "--budget", "10000")
+        assert code == 3
+        assert out == ""
+        assert "error" in err
+
+    def test_table_beyond_budget(self, capsys):
+        # Table 4 needs p_2000 = 17389.
+        code, out, _ = run(capsys, "table", "--id", "4", "--budget", "10000")
+        assert code == 3
+        assert out == ""
+
     def test_overflow_error(self, capsys):
         code, _, _ = run(capsys, "count", "--n", str(2**61), "--k", "5")
         assert code == 3

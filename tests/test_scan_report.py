@@ -4,6 +4,7 @@ import json
 import pytest
 
 from prime_gauge import (
+    BudgetError,
     UsageError,
     emit,
     records_from_json,
@@ -52,6 +53,10 @@ class TestRunScan:
         assert rec.actual == 91
         rec = run_scan("nth_prime_bound", [{"n": 32}], budget=10**5)[0]
         assert rec.bounds["upper"] == 448.0 and rec.actual == 131
+
+    def test_unverified_nth_bound_raises(self):
+        with pytest.raises(BudgetError):
+            run_scan("nth_prime_bound", [{"n": 32}, {"n": 100_000}], budget=10**4)
 
     def test_failures_are_collected_not_raised(self):
         records = run_scan("nth_prime_bound", [{"n": n} for n in (3, 4, 5)], budget=10**5)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,56 @@ class TestNthPrime:
     def test_invalid_index(self, table_2m):
         with pytest.raises(DomainError):
             nth_prime(0, table_2m)
+
+    @pytest.mark.parametrize("budget,i", [(1 << 25, 2_200_000), (10**7, 10**6)])
+    def test_budget_error_before_sieving(self, budget, i):
+        # Dusart's lower bound on p_i already exceeds the budget.
+        table = PiTable(budget=budget)
+        with pytest.raises(BudgetError):
+            table.nth(i)
+        assert table.sieved_limit == 0
+
+    def test_budget_edge_uses_exact_path(self):
+        # p_2000 = 17389, while Dusart's lower bound is only 17258.
+        assert PiTable(budget=17389).nth(2000) == 17389
+        with pytest.raises(BudgetError):
+            PiTable(budget=17388).nth(2000)
+
+
+def test_concurrent_queries_match_serial():
+    budget = 2 * 10**6
+    serial = PiTable(budget=budget)
+    queries = []  # per thread: climbing, interleaved pi and nth queries
+    for t in range(4):
+        own = []
+        for j in range(1, 41):
+            x = j * budget // 40 - 97 * t
+            own.append(("pi", x))
+            own.append(("nth", max(1, serial.pi(x) // 2 + t)))
+        queries.append(own)
+    expected = {q: getattr(serial, q[0])(q[1]) for own in queries for q in own}
+    shared = PiTable(budget=budget, checkpoint_stride=1 << 16)
+    start = threading.Barrier(len(queries), timeout=30)
+    answers: list[list] = [[] for _ in queries]
+
+    def worker(t: int) -> None:
+        start.wait()
+        for kind, arg in queries[t]:
+            answers[t].append(((kind, arg), getattr(shared, kind)(arg)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(queries))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert [len(a) for a in answers] == [len(q) for q in queries]
+    assert all(got == expected[q] for a in answers for q, got in a)
 
 
 class TestPiAtPoints:
