@@ -122,7 +122,10 @@ def _scan(rule: str, grid: Callable[[argparse.Namespace], list[dict[str, int]]])
     """A subcommand that prints one registry rule's records over a grid built from its arguments."""
 
     def run(args: argparse.Namespace, cfg: Config):
-        records = run_scan(rule, grid(args), budget=cfg.budget, threads=cfg.threads)
+        points = grid(args)
+        if not points:
+            raise UsageError(f"the {rule} scan has an empty grid; a scan of nothing cannot pass")
+        records = run_scan(rule, points, budget=cfg.budget, threads=cfg.threads)
         return records, all(rec.passed for rec in records)
 
     return run

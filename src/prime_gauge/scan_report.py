@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Mapping, TextIO, Union
 
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, DomainError, UsageError
 from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
 from .conjectures import (
     brocard_count,
@@ -90,9 +90,11 @@ class ScanContext:
             self._table = PiTable(budget=self.budget)
         return self._table
 
-    def basis_for(self, limit: int) -> PrimeBasis:
+    def basis_for(self, top: int) -> PrimeBasis:
+        """A basis that can sieve every integer up to `top`, the largest one a rule reaches."""
+        limit = max(2, math.isqrt(max(top, 0)) + 1)
         if self._basis is None or self._basis.limit < limit:
-            self._basis = build_basis(max(limit, 2))
+            self._basis = build_basis(limit)
         return self._basis
 
 
@@ -103,13 +105,13 @@ class ScanContext:
 
 def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    value = leg(n, ctx.basis_for(n + 1), budget=ctx.budget)
+    value = leg(n, ctx.basis_for((n + 1) ** 2), budget=ctx.budget)
     return [ScanRecord("improved_legendre", {"n": n}, value, {"lower": 2.0}, value >= 2)]
 
 
 def _rule_conj_bounds(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    ev = evaluate_leg(n, ctx.basis_for(n + 1), budget=ctx.budget)
+    ev = evaluate_leg(n, ctx.basis_for((n + 1) ** 2), budget=ctx.budget)
     bounds = {"lower": ev.conj_lb, "upper": ev.conj_ub, "rosser_upper": ev.rosser_ub}
     return [ScanRecord("conj_bounds", {"n": n}, ev.leg, bounds, ev.within_conj_bounds)]
 
@@ -148,14 +150,17 @@ def _rule_rosser(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]
 
 def _rule_bertrand(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
+    if n < 2:
+        # Below 2 the postulate does not apply, so an empty [n, 2n) is no violation.
+        raise DomainError(f"the postulate needs n >= 2, got {n}")
     iv = Interval(n, 2 * n, lo_open=False, hi_open=True)
-    value = count_primes(iv, ctx.basis_for(math.isqrt(2 * n) + 1), budget=ctx.budget)
+    value = count_primes(iv, ctx.basis_for(2 * n), budget=ctx.budget)
     return [ScanRecord("bertrand", {"n": n}, value, {"min_required": 1.0}, value >= 1)]
 
 
 def _rule_nagura(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    ok = nagura_check(n, ctx.basis_for(math.isqrt(6 * n // 5) + 1), budget=ctx.budget)
+    ok = nagura_check(n, ctx.basis_for(6 * n // 5), budget=ctx.budget)
     return [ScanRecord("nagura", {"n": n}, 1 if ok else 0, {"min_required": 1.0}, ok)]
 
 

@@ -1,8 +1,9 @@
 """Exact prime generation, primality, and counting over 64-bit ranges.
 
-A simple sieve produces base primes, a segmented sieve counts primes in
-arbitrary intervals without materializing them, and a lazily grown table
-answers pi(x) and n-th-prime queries from checkpointed cumulative counts.
+One segment kernel, walked over an interval piece by piece, gives the prime
+flags behind everything that sieves: the base primes, `count_primes` over any
+interval, the lazy growth of `PiTable` (checkpointed pi(x) and n-th-prime
+queries) and the streaming `pi_at_points`.
 """
 
 from __future__ import annotations
@@ -36,16 +37,6 @@ def _checked_mul(a: int, b: int) -> int:
     return r
 
 
-def _sieve_flags(limit: int) -> np.ndarray:
-    """Boolean array f of length limit+1 with f[i] true iff i is prime."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[: min(2, limit + 1)] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
 @dataclass(frozen=True)
 class PrimeBasis:
     """All primes up to `limit`, the seed for every segmented operation."""
@@ -62,8 +53,13 @@ def build_basis(limit: int) -> PrimeBasis:
         raise DomainError(f"basis limit must be >= 2, got {limit}")
     if limit > _BASIS_CAP:
         raise BudgetError(f"basis limit {limit} exceeds the allocation cap {_BASIS_CAP}")
-    flags = _sieve_flags(limit)
-    return PrimeBasis(limit=limit, primes=np.flatnonzero(flags).astype(np.int64))
+    return PrimeBasis(limit=limit, primes=_primes_upto(limit))
+
+
+def _primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, sieved from the primes up to isqrt(limit)."""
+    seed = _primes_upto(math.isqrt(limit)) if limit >= 4 else np.zeros(0, dtype=np.int64)
+    return np.concatenate([lo + np.flatnonzero(f) for lo, f in _segments(0, limit, seed)])
 
 
 def is_prime(n: int) -> bool:
@@ -147,6 +143,13 @@ def _segment_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return flags
 
 
+def _segments(a: int, b: int, primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE):
+    """(seg_lo, flags) for [a, b] in consecutive pieces of at most `size` integers."""
+    if size < 1:
+        raise DomainError(f"segment size must be positive, got {size}")
+    return ((lo, _segment_flags(lo, min(lo + size - 1, b), primes)) for lo in range(a, b + 1, size))
+
+
 def count_primes(
     iv: Interval,
     basis: PrimeBasis,
@@ -155,9 +158,8 @@ def count_primes(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact count of primes admitted by `iv`, by segmented sieving."""
-    if segment_size < 1:
-        raise DomainError(f"segment size must be positive, got {segment_size}")
     a, b = iv.bounds()
+    segments = _segments(a, b, basis.primes, segment_size)  # rejects a bad size first
     if a > b:
         return 0
     if b > budget:
@@ -166,11 +168,7 @@ def count_primes(
         raise DomainError(
             f"basis limit {basis.limit} cannot sieve up to {iv.hi}; need limit^2 >= hi"
         )
-    total = 0
-    for seg_lo in range(a, b + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, b)
-        total += int(np.count_nonzero(_segment_flags(seg_lo, seg_hi, basis.primes)))
-    return total
+    return sum(int(np.count_nonzero(flags)) for _, flags in segments)
 
 
 class PiTable:
@@ -213,15 +211,11 @@ class PiTable:
                 return
             stride = self.checkpoint_stride
             new_limit = min(self.budget, ((x + stride - 1) // stride) * stride)
-            flags = np.ones(new_limit + 1, dtype=bool)
+            flags = np.empty(new_limit + 1, dtype=bool)
             flags[: self._limit + 1] = self._flags
-            fresh_lo = self._limit + 1
-            if fresh_lo < 2:
-                flags[fresh_lo : min(2, new_limit + 1)] = False
-            for p in np.flatnonzero(_sieve_flags(math.isqrt(new_limit))).tolist():
-                start = max(p * p, ((fresh_lo + p - 1) // p) * p)
-                if start <= new_limit:
-                    flags[start::p] = False
+            primes = _primes_upto(math.isqrt(new_limit))
+            for seg_lo, seg in _segments(self._limit + 1, new_limit, primes):
+                flags[seg_lo : seg_lo + len(seg)] = seg
             nf_old = len(self._fine) - 1
             nf_new = new_limit // _FINE
             fine = np.zeros(nf_new + 1, dtype=np.int64)
@@ -316,14 +310,10 @@ def pi_at_points(
     result: dict[int, int] = {}
     idx = 0
     running = 0
-    seg_lo = 0
-    while idx < len(pts):
-        seg_hi = min(seg_lo + segment_size - 1, top)
-        flags = _segment_flags(seg_lo, seg_hi, basis.primes)
+    for seg_lo, flags in _segments(0, top, basis.primes, segment_size):
         cum = np.cumsum(flags, dtype=np.int64)
-        while idx < len(pts) and pts[idx] <= seg_hi:
+        while idx < len(pts) and pts[idx] < seg_lo + len(flags):
             result[pts[idx]] = running + int(cum[pts[idx] - seg_lo])
             idx += 1
         running += int(cum[-1])
-        seg_lo = seg_hi + 1
     return result

@@ -95,6 +95,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_nagura_negative_n(self, capsys):
+        code, out, err = run(capsys, "nagura", "--n", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_empty_leg_scan(self, capsys):
+        # A scan that checks nothing must not read as all passed.
+        code, out, err = run(capsys, "leg-scan", "--from", "5", "--to", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_budget_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "5000", "--k", "3", "--budget", "10000")
         assert code == 3

@@ -5,6 +5,7 @@ import pytest
 
 from prime_gauge import (
     BudgetError,
+    DomainError,
     UsageError,
     emit,
     records_from_json,
@@ -53,6 +54,20 @@ class TestRunScan:
         assert rec.actual == 91
         rec = run_scan("nth_prime_bound", [{"n": 32}], budget=10**5)[0]
         assert rec.bounds["upper"] == 448.0 and rec.actual == 131
+
+    def test_nagura_negative_n_is_domain_error(self):
+        with pytest.raises(DomainError):
+            run_scan("nagura", [{"n": -5}])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_bertrand_outside_domain_raises(self, n):
+        # The postulate needs n >= 2; an empty [n, 2n) below that is no violation.
+        with pytest.raises(DomainError):
+            run_scan("bertrand", [{"n": n}], budget=10**5)
+
+    def test_bertrand_smallest_n_passes(self):
+        rec = run_scan("bertrand", [{"n": 2}], budget=10**5)[0]
+        assert rec.passed and rec.actual == 2
 
     def test_unverified_nth_bound_raises(self):
         with pytest.raises(BudgetError):

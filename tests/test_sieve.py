@@ -38,6 +38,13 @@ class TestBuildBasis:
         primes = build_basis(2000).primes.tolist()
         assert primes == [n for n in range(2001) if trial_is_prime(n)]
 
+    def test_every_small_limit(self):
+        # Limits below 4 are the recursion's base case: no seed primes at all.
+        for limit in range(2, 201):
+            assert build_basis(limit).primes.tolist() == [
+                n for n in range(limit + 1) if trial_is_prime(n)
+            ]
+
     def test_limit_below_two(self):
         with pytest.raises(DomainError):
             build_basis(1)
@@ -141,6 +148,11 @@ class TestCountPrimes:
         right = count_primes(Interval.closed(b + 1, c), basis_2k)
         assert left + right == whole
 
+    @pytest.mark.parametrize("seg", [0, -4])
+    def test_bad_segment_size(self, basis_2k, seg):
+        with pytest.raises(DomainError):
+            count_primes(Interval.closed(0, 100), basis_2k, segment_size=seg)
+
     def test_segment_size_invariance(self, basis_2k):
         iv = Interval.closed(123, 987_654)
         big_basis = build_basis(1000)
@@ -164,6 +176,28 @@ class TestPiTable:
             step = pi(x, table_2m) - pi(x - 1, table_2m)
             assert step in (0, 1)
             assert (step == 1) == is_prime(x)
+
+    def test_whole_small_budget(self):
+        for b in range(2, 65):
+            assert PiTable(budget=b).pi(b) == trial_pi(b)
+
+    def test_growth_across_segment_boundaries(self):
+        # The stride is no multiple of 2^20, so growth steps do not line up
+        # with multiples of the 2^20 segment size; the climbing queries grow
+        # the table three times, across 2^20, 2^21 and 3 * 2^20.
+        table = PiTable(budget=4 * 10**6, checkpoint_stride=3 * 2**19 + 7)
+        published = [
+            (10**6, 78_498),
+            (2**20, 82_025),
+            (2 * 10**6, 148_933),
+            (2**21, 155_611),
+            (3 * 10**6, 216_816),
+            (4 * 10**6, 283_146),
+        ]
+        assert [(x, table.pi(x)) for x, _ in published] == published
+        for k in (1, 2, 3):
+            for x in range(k * 2**20 - 64, k * 2**20 + 65):
+                assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
 
     def test_budget_error(self):
         table = PiTable(budget=10**5)
@@ -272,6 +306,19 @@ class TestPiAtPoints:
     def test_budget(self):
         with pytest.raises(BudgetError):
             pi_at_points([10**7], budget=10**6)
+
+    @pytest.mark.parametrize("seg", [0, -4])
+    def test_bad_segment_size(self, seg):
+        with pytest.raises(DomainError):
+            pi_at_points([5, 1000], budget=10**5, segment_size=seg)
+
+    def test_every_point_across_segments(self):
+        # Every point, so each segment's first and last integers are queried.
+        expected, running = {}, 0
+        for x in range(3000):
+            running += trial_is_prime(x)
+            expected[x] = running
+        assert pi_at_points(range(3000), budget=10**5, segment_size=1000) == expected
 
     def test_segment_size_invariance(self):
         points = [5, 1000, 54_321, 99_999]
