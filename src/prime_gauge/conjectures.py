@@ -136,7 +136,7 @@ def interval_count(n: int, k: int, table: PiTable) -> int:
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     hi = _checked_mul(n, k)
-    if hi > table.budget:
+    if hi - 1 > table.budget:
         raise BudgetError(f"k*n = {hi} exceeds the budget {table.budget}")
     return table.pi(hi - 1) - table.pi(n)
 
@@ -219,7 +219,7 @@ def brocard_count(i: int, table: PiTable) -> int:
     p = table.nth(i)
     q = table.nth(i + 1)
     q2 = _checked_mul(q, q)
-    if q2 > table.budget:
+    if q2 - 1 > table.budget:
         raise BudgetError(f"p_{i + 1}^2 = {q2} exceeds the budget {table.budget}")
     return table.pi(q2 - 1) - table.pi(p * p)
 
@@ -235,7 +235,7 @@ def brocard_decomposition(i: int, table: PiTable) -> tuple[int, int]:
     p = table.nth(i)
     q = table.nth(i + 1)
     q2 = _checked_mul(q, q)
-    if q2 > table.budget:
+    if q2 - 1 > table.budget:
         raise BudgetError(f"p_{i + 1}^2 = {q2} exceeds the budget {table.budget}")
     first = table.pi((p + 1) * (p + 1) - 1) - table.pi(p * p)
     second = table.pi(q2 - 1) - table.pi((q - 1) * (q - 1))

@@ -91,7 +91,12 @@ class ScanContext:
         return self._table
 
     def basis_for(self, top: int) -> PrimeBasis:
-        """A basis that can sieve every integer up to `top`, the largest one a rule reaches."""
+        """A basis that can sieve every integer up to `top`, the largest one a rule counts.
+
+        A `top` beyond the budget is rejected before any basis is built.
+        """
+        if top > self.budget:
+            raise BudgetError(f"interval end {top} exceeds the sieve budget {self.budget}")
         limit = max(2, math.isqrt(max(top, 0)) + 1)
         if self._basis is None or self._basis.limit < limit:
             self._basis = build_basis(limit)
@@ -105,13 +110,14 @@ class ScanContext:
 
 def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    value = leg(n, ctx.basis_for((n + 1) ** 2), budget=ctx.budget)
+    # An n below 1 counts nothing; leg rejects it with a domain error.
+    value = leg(n, ctx.basis_for((max(n, 0) + 1) ** 2 - 1), budget=ctx.budget)
     return [ScanRecord("improved_legendre", {"n": n}, value, {"lower": 2.0}, value >= 2)]
 
 
 def _rule_conj_bounds(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    ev = evaluate_leg(n, ctx.basis_for((n + 1) ** 2), budget=ctx.budget)
+    ev = evaluate_leg(n, ctx.basis_for((max(n, 0) + 1) ** 2 - 1), budget=ctx.budget)
     bounds = {"lower": ev.conj_lb, "upper": ev.conj_ub, "rosser_upper": ev.rosser_ub}
     return [ScanRecord("conj_bounds", {"n": n}, ev.leg, bounds, ev.within_conj_bounds)]
 
@@ -154,7 +160,7 @@ def _rule_bertrand(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecor
         # Below 2 the postulate does not apply, so an empty [n, 2n) is no violation.
         raise DomainError(f"the postulate needs n >= 2, got {n}")
     iv = Interval(n, 2 * n, lo_open=False, hi_open=True)
-    value = count_primes(iv, ctx.basis_for(2 * n), budget=ctx.budget)
+    value = count_primes(iv, ctx.basis_for(2 * n - 1), budget=ctx.budget)
     return [ScanRecord("bertrand", {"n": n}, value, {"min_required": 1.0}, value >= 1)]
 
 

@@ -2,8 +2,8 @@
 
 One segment kernel, walked over an interval piece by piece, gives the prime
 flags behind everything that sieves: the base primes, `count_primes` over any
-interval, the lazy growth of `PiTable` (checkpointed pi(x) and n-th-prime
-queries) and the streaming `pi_at_points`.
+interval, `PiTable` (pi(x) and n-th-prime queries over appended blocks of
+flags, each with the count of primes below it) and the streaming `pi_at_points`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 DEFAULT_CHECKPOINT_STRIDE = 1 << 24
 INT64_MAX = (1 << 63) - 1
 
-_FINE = 1 << 16  # granularity of the internal cumulative-count grid
+_BLOCK = 1 << 16  # integers per PiTable block
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
 
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24.
@@ -172,14 +172,14 @@ def count_primes(
 
 
 class PiTable:
-    """Checkpointed cumulative prime counts for exact pi(x) queries.
+    """Exact pi(x) and n-th-prime queries over a lazily grown sieve.
 
-    `checkpoints[j]` is the exact number of primes <= j * checkpoint_stride
-    for every stride fully covered so far. The table grows lazily toward its
-    budget; it also retains the sieved bitmap plus a fine-grained cumulative
-    grid so that repeated queries cost one short popcount instead of a
-    re-sieve. All mutation happens under a lock, so concurrent queries are
-    safe and results are independent of scheduling.
+    The sieved range is kept as blocks of 2^16 prime flags with `_below[j]`,
+    the number of primes below block j. Growth appends blocks, in whole
+    strides up to the budget, under a lock; it builds new lists that keep
+    every published block and count, and publishes the new limit last, so
+    queries need no lock. `checkpoints[j]` is pi(j * checkpoint_stride) for
+    every stride covered so far.
     """
 
     def __init__(
@@ -193,15 +193,19 @@ class PiTable:
             raise DomainError(f"checkpoint stride must be positive, got {checkpoint_stride}")
         self.budget = budget
         self.checkpoint_stride = checkpoint_stride
-        self.checkpoints: list[int] = [0]
-        self._flags = np.zeros(1, dtype=bool)  # index i -> i is prime; covers [0, _limit]
-        self._fine = np.zeros(1, dtype=np.int64)  # _fine[j] = pi(j * _FINE)
+        self._blocks: list[np.ndarray] = []  # views into one array per growth
+        self._below = np.zeros(1, dtype=np.int64)  # _below[j] = pi(j * _BLOCK - 1)
         self._limit = 0
         self._lock = threading.RLock()
 
     @property
     def sieved_limit(self) -> int:
         return self._limit
+
+    @property
+    def checkpoints(self) -> list[int]:
+        stride = self.checkpoint_stride
+        return [self._pi_covered(j * stride) for j in range(self._limit // stride + 1)]
 
     def _ensure(self, x: int) -> None:
         if x <= self._limit:
@@ -211,32 +215,26 @@ class PiTable:
                 return
             stride = self.checkpoint_stride
             new_limit = min(self.budget, ((x + stride - 1) // stride) * stride)
-            flags = np.empty(new_limit + 1, dtype=bool)
-            flags[: self._limit + 1] = self._flags
+            full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
             primes = _primes_upto(math.isqrt(new_limit))
-            for seg_lo, seg in _segments(self._limit + 1, new_limit, primes):
-                flags[seg_lo : seg_lo + len(seg)] = seg
-            nf_old = len(self._fine) - 1
-            nf_new = new_limit // _FINE
-            fine = np.zeros(nf_new + 1, dtype=np.int64)
-            fine[: nf_old + 1] = self._fine
-            if nf_new > nf_old:
-                block = flags[nf_old * _FINE + 1 : nf_new * _FINE + 1]
-                sums = block.reshape(nf_new - nf_old, _FINE).sum(axis=1, dtype=np.int64)
-                fine[nf_old + 1 :] = fine[nf_old] + np.cumsum(sums)
-            self._flags = flags
-            self._fine = fine
+            # One array per growth, not per segment: new tables reuse freed memory.
+            lo = full * _BLOCK
+            flags = np.empty(new_limit - lo + 1, dtype=bool)
+            for seg_lo, seg in _segments(lo, new_limit, primes):
+                flags[seg_lo - lo : seg_lo - lo + len(seg)] = seg
+                del seg  # free it before the next segment is sieved
+            fresh = [flags[k : k + _BLOCK] for k in range(0, len(flags), _BLOCK)]
+            counts = np.cumsum([np.count_nonzero(b) for b in fresh], dtype=np.int64)
+            self._blocks = self._blocks[:full] + fresh
+            self._below = np.concatenate((self._below[: full + 1], self._below[full] + counts))
             self._limit = new_limit
-            while len(self.checkpoints) * stride <= new_limit:
-                self.checkpoints.append(self._pi_covered(len(self.checkpoints) * stride))
 
     def _pi_covered(self, x: int) -> int:
         """pi(x) for x already inside the sieved region."""
         if x < 2:
             return 0
-        q = x // _FINE
-        flags, fine = self._flags, self._fine
-        return int(fine[q]) + int(np.count_nonzero(flags[q * _FINE + 1 : x + 1]))
+        j = x // _BLOCK
+        return int(self._below[j]) + int(np.count_nonzero(self._blocks[j][: x - j * _BLOCK + 1]))
 
     def pi(self, x: int) -> int:
         if x < 0:
@@ -269,11 +267,10 @@ class PiTable:
                 raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
             est = self.budget
         self._ensure(est)
-        flags, fine = self._flags, self._fine
-        j = int(np.searchsorted(fine, i, side="left"))
-        lo = (j - 1) * _FINE + 1
-        offsets = np.flatnonzero(flags[lo : j * _FINE + 1])
-        return lo + int(offsets[i - int(fine[j - 1]) - 1])
+        below = self._below
+        j = int(np.searchsorted(below, i, side="left")) - 1
+        offsets = np.flatnonzero(self._blocks[j])
+        return j * _BLOCK + int(offsets[i - int(below[j]) - 1])
 
 
 def pi(x: int, table: PiTable) -> int:

@@ -112,6 +112,47 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--n", "5000", "--k", "3", "--budget", "10000")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv", [("nagura", "--n", "60000000000000000"), ("bounds", "--n", "200000000")]
+    )
+    def test_over_budget_before_basis(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the sieve budget 2147483648" in err
+
+    def test_nagura_budget_edge(self, capsys):
+        # [n, 6n/5] ends at 12000 for n = 10000 and at 12001 for n = 10001.
+        assert run(capsys, "nagura", "--n", "10000", "--budget", "12000")[0] == 0
+        assert run(capsys, "nagura", "--n", "10001", "--budget", "12000")[0] == 3
+
+    @pytest.mark.parametrize(
+        "argv,row",
+        [
+            (("count", "--n", "1", "--k", "10001", "--budget", "10000"), "count,1,10001,1229,true"),
+            (("pnt-ratio", "--n", "5001", "--budget", "10001"), "pnt_ratio,5001,"),
+            (("brocard", "--i", "25", "--budget", "10200"), "brocard,25,89,"),
+        ],
+    )
+    def test_budget_edge_is_largest_counted_integer(self, capsys, argv, row):
+        # Each command reads pi at most at its budget, so it fits.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.split("\n")[1].startswith(row)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "1", "--k", "10002", "--budget", "10000"),
+            ("pnt-ratio", "--n", "5002", "--budget", "10001"),
+            ("brocard", "--i", "25", "--budget", "10199"),
+        ],
+    )
+    def test_one_past_budget_edge(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+
     def test_unverified_nth_bound_is_budget_error(self, capsys):
         # p_100000 = 1299709 lies beyond the budget, so the bound cannot be checked.
         code, out, err = run(capsys, "nth-bound", "--n", "100000", "--budget", "10000")

@@ -122,6 +122,12 @@ class TestIntervalCount:
         with pytest.raises(BudgetError):
             interval_count(10**4, 11, table)
 
+    def test_budget_edge(self):
+        # (1, 10001) holds no integer above 10000.
+        assert interval_count(1, 10_001, PiTable(budget=10_000)) == 1229
+        with pytest.raises(BudgetError):
+            interval_count(1, 10_002, PiTable(budget=10_000))
+
     def test_overflow(self, table_2m):
         from prime_gauge import RangeOverflowError
 
@@ -221,6 +227,19 @@ class TestBrocard:
         with pytest.raises(DomainError):
             brocard_decomposition(1, table_2m)
 
+    def test_budget_edge(self, oracle_100k):
+        # p_25 = 97 and p_26 = 101: both counts read pi up to 101^2 - 1 = 10200.
+        table = PiTable(budget=10_200)
+        assert brocard_count(25, table) == 89 == oracle_100k.count(97**2, 101**2, True, True)
+        assert brocard_decomposition(25, table) == (
+            oracle_100k.count(97**2, 98**2, True, True),
+            oracle_100k.count(100**2, 101**2, True, True),
+        )
+        with pytest.raises(BudgetError):
+            brocard_count(25, PiTable(budget=10_199))
+        with pytest.raises(BudgetError):
+            brocard_decomposition(25, PiTable(budget=10_199))
+
     def test_at_least_four_from_second_index(self, table_2m):
         for i in range(2, 120):
             assert brocard_count(i, table_2m) >= 4, i
@@ -286,3 +305,10 @@ class TestPntRatio:
         for n in (10, 100, 1000):
             expected = oracle_100k.count(n, 2 * n, True, True) / (n / math.log(n))
             assert pnt_ratio(n, table_2m) == pytest.approx(expected)
+
+    def test_budget_edge(self, oracle_100k):
+        # (5001, 10002) holds no integer above 10001.
+        expected = oracle_100k.count(5001, 10_002, True, True) / (5001 / math.log(5001))
+        assert pnt_ratio(5001, PiTable(budget=10_001)) == pytest.approx(expected)
+        with pytest.raises(BudgetError):
+            pnt_ratio(5002, PiTable(budget=10_001))

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -68,6 +69,24 @@ class TestRunScan:
     def test_bertrand_smallest_n_passes(self):
         rec = run_scan("bertrand", [{"n": 2}], budget=10**5)[0]
         assert rec.passed and rec.actual == 2
+
+    @pytest.mark.parametrize("rule,n", [("nagura", 6 * 10**16), ("conj_bounds", 2 * 10**8)])
+    def test_over_budget_rejected_before_basis(self, rule, n):
+        # The basis for either point would take hundreds of megabytes.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="exceeds the sieve budget"):
+                run_scan(rule, [{"n": n}])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_bertrand_budget_edge(self):
+        # [n, 2n) ends at 2n - 1, so n = 5000 fits a budget of 10000.
+        assert run_scan("bertrand", [{"n": 5000}], budget=10_000)[0].passed
+        with pytest.raises(BudgetError):
+            run_scan("bertrand", [{"n": 5001}], budget=10_000)
 
     def test_unverified_nth_bound_raises(self):
         with pytest.raises(BudgetError):

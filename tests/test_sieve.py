@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,39 @@ class TestPiTable:
             for x in range(k * 2**20 - 64, k * 2**20 + 65):
                 assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
 
+    def test_growth_allocates_only_fresh_ranges(self):
+        # After seven climbing growths, the eighth sieves one more stride; it
+        # must not allocate (or copy into) a bitmap of the whole range.
+        stride = 2**21
+        table = PiTable(budget=8 * stride, checkpoint_stride=stride)
+        for j in range(1, 8):
+            table.pi(j * stride)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert table.pi(8 * stride) == 1_077_871
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stride
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        budget=st.integers(min_value=2, max_value=100_000),
+        stride=st.integers(min_value=1, max_value=70_000),
+        queries=st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=12),
+    )
+    def test_any_growth_order_matches_oracle(self, oracle_100k, budget, stride, queries):
+        # Strides and budgets on and off the 2^16 block and 2^20 segment grids.
+        table = PiTable(budget=budget, checkpoint_stride=stride)
+        for x in (min(q, budget) for q in queries):
+            assert table.pi(x) == oracle_100k.pi(x)
+            if x >= 2:
+                assert table.nth(oracle_100k.pi(x)) <= x
+        checkpoints = table.checkpoints
+        assert len(checkpoints) == table.sieved_limit // stride + 1
+        assert checkpoints == [oracle_100k.pi(j * stride) for j in range(len(checkpoints))]
+
     def test_budget_error(self):
         table = PiTable(budget=10**5)
         with pytest.raises(BudgetError):
@@ -250,6 +284,19 @@ class TestNthPrime:
         with pytest.raises(BudgetError):
             table.nth(i)
         assert table.sieved_limit == 0
+
+    @pytest.mark.parametrize("stride", [997, 1 << 24])
+    def test_block_boundaries(self, stride):
+        # Blocks hold 2^16 integers; the stride of 997 leaves a partial last
+        # block after most growths.
+        table = PiTable(budget=4 * 2**16, checkpoint_stride=stride)
+        for k in (1, 2, 3):
+            for x in range(k * 2**16 - 64, k * 2**16 + 65):
+                largest = next(p for p in range(x, 1, -1) if trial_is_prime(p))
+                assert table.nth(table.pi(x)) == largest
+        # 65537, the first integer of block 1, is prime.
+        assert table.pi(65_537) == table.pi(65_536) + 1 == 6543
+        assert table.nth(6543) == 65_537
 
     def test_budget_edge_uses_exact_path(self):
         # p_2000 = 17389, while Dusart's lower bound is only 17258.
