@@ -19,8 +19,10 @@ from .sieve import (
     PiTable,
     PrimeBasis,
     _checked_mul,
+    _count_spans,
+    _dusart_floor,
+    build_basis,
     count_primes,
-    pi_at_points,
 )
 
 # Tolerance for snapping 1.1*ln(2.5k) to an integer before the ceiling.
@@ -73,18 +75,19 @@ def leg(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def leg_many(ns: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """leg over many n from one streaming sieve pass (cheaper than per-n calls)."""
+    """leg over many n, sieving only the integers strictly between their squares."""
     wanted = sorted({int(n) for n in ns})
     if not wanted:
         return {}
     if wanted[0] < 1:
-        raise DomainError(f"leg expects positive integers, got {wanted[0]}")
-    points: set[int] = set()
-    for n in wanted:
-        points.add(n * n)
-        points.add(_checked_mul(n + 1, n + 1) - 1)
-    counts = pi_at_points(points, budget=budget)
-    return {n: counts[(n + 1) * (n + 1) - 1] - counts[n * n] for n in wanted}
+        raise DomainError(f"leg expects a positive integer, got {wanted[0]}")
+    top = (wanted[-1] + 1) ** 2 - 1
+    if top > budget:
+        raise BudgetError(f"interval end {top} exceeds the sieve budget {budget}")
+    _checked_mul(wanted[-1] + 1, wanted[-1] + 1)
+    basis = build_basis(max(2, math.isqrt(top) + 1))
+    counts = _count_spans([(n * n + 1, (n + 1) * (n + 1) - 1) for n in wanted], basis.primes)
+    return dict(zip(wanted, counts))
 
 
 def rosser_ub_leg(n: int) -> float:
@@ -212,16 +215,28 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
     )
 
 
-def brocard_count(i: int, table: PiTable) -> int:
-    """Exact count of primes strictly between p_i^2 and p_{i+1}^2."""
-    if i < 1:
-        raise DomainError(f"prime index must be positive, got {i}")
+def _consecutive_primes(i: int, table: PiTable) -> tuple[int, int]:
+    """p_i and p_{i+1}, once p_{i+1}^2 - 1, the largest integer counted, fits the budget.
+
+    The square of a lower bound on p_{i+1} rejects a far index before any sieving.
+    """
+    low = max(0.0, _dusart_floor(i + 1))
+    if low * low - 1 > table.budget:
+        raise BudgetError(f"p_{i + 1}^2 exceeds the budget {table.budget}")
     p = table.nth(i)
     q = table.nth(i + 1)
     q2 = _checked_mul(q, q)
     if q2 - 1 > table.budget:
         raise BudgetError(f"p_{i + 1}^2 = {q2} exceeds the budget {table.budget}")
-    return table.pi(q2 - 1) - table.pi(p * p)
+    return p, q
+
+
+def brocard_count(i: int, table: PiTable) -> int:
+    """Exact count of primes strictly between p_i^2 and p_{i+1}^2."""
+    if i < 1:
+        raise DomainError(f"prime index must be positive, got {i}")
+    p, q = _consecutive_primes(i, table)
+    return table.pi(q * q - 1) - table.pi(p * p)
 
 
 def brocard_decomposition(i: int, table: PiTable) -> tuple[int, int]:
@@ -232,13 +247,9 @@ def brocard_decomposition(i: int, table: PiTable) -> tuple[int, int]:
     """
     if i < 2:
         raise DomainError(f"the decomposition needs i >= 2, got {i}")
-    p = table.nth(i)
-    q = table.nth(i + 1)
-    q2 = _checked_mul(q, q)
-    if q2 - 1 > table.budget:
-        raise BudgetError(f"p_{i + 1}^2 = {q2} exceeds the budget {table.budget}")
+    p, q = _consecutive_primes(i, table)
     first = table.pi((p + 1) * (p + 1) - 1) - table.pi(p * p)
-    second = table.pi(q2 - 1) - table.pi((q - 1) * (q - 1))
+    second = table.pi(q * q - 1) - table.pi((q - 1) * (q - 1))
     return first, second
 
 

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Mapping, TextIO, Union
+from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
 
 from .errors import BudgetError, DomainError, UsageError
 from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
@@ -17,7 +17,6 @@ from .conjectures import (
     conj4_crossover,
     evaluate_leg,
     interval_count,
-    leg,
     leg_many,
     nagura_check,
     nth_prime_bound,
@@ -77,12 +76,14 @@ class ScanRecord:
 
 
 class ScanContext:
-    """Shared sieve structures for one scan, built lazily per budget."""
+    """Shared sieve structures for one scan over `points`, built lazily per budget."""
 
-    def __init__(self, budget: int = DEFAULT_BUDGET):
+    def __init__(self, budget: int = DEFAULT_BUDGET, points: Sequence[Mapping[str, int]] = ()):
         self.budget = budget
+        self.points = points
         self._table: PiTable | None = None
         self._basis: PrimeBasis | None = None
+        self._legs: dict[int, int] | None = None
 
     @property
     def table(self) -> PiTable:
@@ -102,6 +103,12 @@ class ScanContext:
             self._basis = build_basis(limit)
         return self._basis
 
+    def leg(self, n: int) -> int:
+        """leg(n), counted for every n of the scan's points in one `leg_many` on first use."""
+        if self._legs is None:
+            self._legs = leg_many([p["n"] for p in self.points], budget=self.budget)
+        return self._legs[n]
+
 
 # Each rule evaluates one grid point into its records. Library functions are
 # called through this module's globals at call time, so patching a module
@@ -110,8 +117,7 @@ class ScanContext:
 
 def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    # An n below 1 counts nothing; leg rejects it with a domain error.
-    value = leg(n, ctx.basis_for((max(n, 0) + 1) ** 2 - 1), budget=ctx.budget)
+    value = ctx.leg(n)
     return [ScanRecord("improved_legendre", {"n": n}, value, {"lower": 2.0}, value >= 2)]
 
 
@@ -237,14 +243,7 @@ def _evaluate(
     With `where`, a template naming one point, a budget error names the point
     that raised it.
     """
-    if rule == "improved_legendre" and len(points) > 1:
-        # One streaming sieve pass instead of one interval sieve per n.
-        counts = leg_many([p["n"] for p in points], budget=budget)
-        return [
-            ScanRecord(rule, {"n": p["n"]}, counts[p["n"]], {"lower": 2.0}, counts[p["n"]] >= 2)
-            for p in points
-        ]
-    ctx = ScanContext(budget)
+    ctx = ScanContext(budget, points)
     fn = RULES[rule]
     records: list[ScanRecord] = []
     for point in points:

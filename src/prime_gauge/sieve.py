@@ -1,9 +1,10 @@
 """Exact prime generation, primality, and counting over 64-bit ranges.
 
 One segment kernel, walked over an interval piece by piece, gives the prime
-flags behind everything that sieves: the base primes, `count_primes` over any
-interval, `PiTable` (pi(x) and n-th-prime queries over appended blocks of
-flags, each with the count of primes below it) and the streaming `pi_at_points`.
+flags behind everything that sieves: the base primes, `PiTable` (pi(x) and
+n-th-prime queries over appended blocks of flags, each with the count of
+primes below it) and one span counter, which counts the primes in many
+intervals at once behind `count_primes`, `pi_at_points` and `leg_many`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ INT64_MAX = (1 << 63) - 1
 
 _BLOCK = 1 << 16  # integers per PiTable block
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
+# A PiTable holds one byte of flags per integer in [0, limit]; refuse to grow
+# beyond what the default budget needs.
+_TABLE_CAP = DEFAULT_BUDGET + 1
 
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,9 +149,45 @@ def _segment_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
 
 def _segments(a: int, b: int, primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE):
     """(seg_lo, flags) for [a, b] in consecutive pieces of at most `size` integers."""
+    return ((lo, _segment_flags(lo, min(lo + size - 1, b), primes)) for lo in range(a, b + 1, size))
+
+
+def _count_spans(
+    spans: list[tuple[int, int]], primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE
+) -> list[int]:
+    """The number of primes in each inclusive span [a, b] of nonnegative integers, 0 where a > b.
+
+    Only runs that cover the spans are sieved, one segment at a time; spans
+    less than a segment apart share a run. `below[x]` counts the primes up
+    to x among the integers sieved so far, taken with `count_nonzero` over
+    the slices between the sorted span ends, so a span is
+    below[b] - below[a - 1]. At most two segments of flags are alive at once.
+    """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
-    return ((lo, _segment_flags(lo, min(lo + size - 1, b), primes)) for lo in range(a, b + 1, size))
+    runs: list[list[int]] = []
+    for a, b in sorted(s for s in spans if s[0] <= s[1]):
+        if runs and a <= runs[-1][1] + size:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    cuts = sorted({x for a, b in spans if a <= b for x in (a - 1, b)})
+    below: dict[int, int] = {}
+    running = k = 0
+    for lo, hi in runs:
+        if cuts[k] < lo:  # a - 1 for a span that starts the run
+            below[cuts[k]] = running
+            k += 1
+        for seg_lo, flags in _segments(lo, hi, primes, size):
+            pos, seg_end = 0, seg_lo + len(flags)
+            while k < len(cuts) and cuts[k] < seg_end:
+                end = cuts[k] - seg_lo + 1
+                running += int(np.count_nonzero(flags[pos:end]))
+                below[cuts[k]] = running
+                pos = end
+                k += 1
+            running += int(np.count_nonzero(flags[pos:]))
+    return [below[b] - below[a - 1] if a <= b else 0 for a, b in spans]
 
 
 def count_primes(
@@ -159,16 +199,23 @@ def count_primes(
 ) -> int:
     """Exact count of primes admitted by `iv`, by segmented sieving."""
     a, b = iv.bounds()
-    segments = _segments(a, b, basis.primes, segment_size)  # rejects a bad size first
-    if a > b:
-        return 0
-    if b > budget:
+    if a <= b and b > budget:
         raise BudgetError(f"interval end {b} exceeds the sieve budget {budget}")
-    if basis.limit * basis.limit < iv.hi:
+    if a <= b and basis.limit * basis.limit < iv.hi:
         raise DomainError(
             f"basis limit {basis.limit} cannot sieve up to {iv.hi}; need limit^2 >= hi"
         )
-    return sum(int(np.count_nonzero(flags)) for _, flags in segments)
+    return _count_spans([(a, b)], basis.primes, segment_size)[0]
+
+
+def _dusart_floor(i: int) -> float:
+    """A number below the i-th prime, for i >= 2, found without sieving.
+
+    Dusart (1999): p_i > i (ln i + ln ln i - 1) for i >= 2. The slack (1e-9
+    relative, 1 absolute) keeps float rounding from rejecting a prime that
+    lies within a budget.
+    """
+    return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
 class PiTable:
@@ -215,6 +262,12 @@ class PiTable:
                 return
             stride = self.checkpoint_stride
             new_limit = min(self.budget, ((x + stride - 1) // stride) * stride)
+            # Within the cap, the base primes stay far below _BASIS_CAP.
+            if new_limit + 1 > _TABLE_CAP:
+                raise BudgetError(
+                    f"a pi table up to {new_limit} needs {new_limit + 1} bytes of flags,"
+                    f" above the cap {_TABLE_CAP}"
+                )
             full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
             primes = _primes_upto(math.isqrt(new_limit))
             # One array per growth, not per segment: new tables reuse freed memory.
@@ -254,14 +307,10 @@ class PiTable:
             if p > self.budget:
                 raise BudgetError(f"prime #{i} = {p} lies beyond the budget {self.budget}")
             return p
-        # Dusart (1999): p_i > i (ln i + ln ln i - 1) for i >= 2. Rejecting on
-        # it needs no sieving; the slack keeps float rounding from rejecting a
-        # prime that lies within the budget.
-        lnln = math.log(math.log(i))
-        if i * (math.log(i) + lnln - 1) * (1 - 1e-9) - 1 > self.budget:
+        if _dusart_floor(i) > self.budget:
             raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
         # Rosser: p_i < i (ln i + ln ln i) for i >= 6.
-        est = int(i * (math.log(i) + lnln)) + 2
+        est = int(i * (math.log(i) + math.log(math.log(i)))) + 2
         if est > self.budget:
             if self.pi(self.budget) < i:
                 raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
@@ -287,13 +336,13 @@ def pi_at_points(
     points: Iterable[int],
     *,
     budget: int = DEFAULT_BUDGET,
-    segment_size: int = DEFAULT_CHECKPOINT_STRIDE,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> dict[int, int]:
-    """pi at every requested point, from a single streaming sieve pass.
+    """pi at every requested point, from one segmented sweep of [0, max(points)].
 
-    The points are answered in one left-to-right segmented sweep, so the
-    cost is one full sieve up to max(points) regardless of how many points
-    are asked for. Nothing is retained afterwards.
+    The sweep costs one sieve up to the largest point however many points
+    are asked for; each point is the count of the span [0, x]. It holds one
+    or two segments of flags at a time and nothing afterwards.
     """
     pts = sorted({int(x) for x in points})
     if not pts:
@@ -304,13 +353,4 @@ def pi_at_points(
     if top > budget:
         raise BudgetError(f"point {top} exceeds the sieve budget {budget}")
     basis = build_basis(max(2, math.isqrt(top) + 1))
-    result: dict[int, int] = {}
-    idx = 0
-    running = 0
-    for seg_lo, flags in _segments(0, top, basis.primes, segment_size):
-        cum = np.cumsum(flags, dtype=np.int64)
-        while idx < len(pts) and pts[idx] < seg_lo + len(flags):
-            result[pts[idx]] = running + int(cum[pts[idx] - seg_lo])
-            idx += 1
-        running += int(cum[-1])
-    return result
+    return dict(zip(pts, _count_spans([(0, x) for x in pts], basis.primes, segment_size)))

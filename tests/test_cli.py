@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,23 @@ class TestExitCodes:
         code, out, _ = run(capsys, *argv)
         assert code == 3
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--n", "10", "--k", str(10**17), "--budget", str(10**19)),
+            ("rosser", "--n", str(10**18), "--budget", str(10**19)),
+            ("brocard", "--i", "100000000"),
+        ],
+    )
+    def test_far_beyond_memory_fails_fast(self, capsys, argv):
+        # Each would need gigabytes of flags; it is refused before any is allocated.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.1
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_unverified_nth_bound_is_budget_error(self, capsys):
         # p_100000 = 1299709 lies beyond the budget, so the bound cannot be checked.

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,26 @@ class TestLeg:
     def test_invalid(self, basis_2k):
         with pytest.raises(DomainError):
             leg(0, basis_2k)
+
+    def test_leg_many_sieves_only_its_own_interval(self):
+        # Sweeping [0, 40001^2] instead of the 80000 integers of leg(40000) takes seconds.
+        basis = build_basis(40_002)
+        t0 = time.perf_counter()
+        result = leg_many([40_000])
+        assert time.perf_counter() - t0 < 1
+        assert result == {40_000: leg(40_000, basis)}
+
+    def test_leg_many_memory_holds_about_one_segment(self):
+        tracemalloc.start()
+        try:
+            result = leg_many(range(1, 8001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        basis = build_basis(8002)
+        assert len(result) == 8000
+        assert all(result[n] == leg(n, basis) for n in (1, 2, 1000, 4096, 7999, 8000))
 
 
 class TestLegBounds:
@@ -239,6 +261,23 @@ class TestBrocard:
             brocard_count(25, PiTable(budget=10_199))
         with pytest.raises(BudgetError):
             brocard_decomposition(25, PiTable(budget=10_199))
+
+    def test_far_index_rejected_before_sieving(self):
+        # p_100000001 is about 2 * 10^9, so its square is far beyond the default
+        # budget; finding p_i first would sieve 2 GB.
+        table = PiTable()
+        for fn in (brocard_count, brocard_decomposition):
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                with pytest.raises(BudgetError):
+                    fn(10**8, table)
+                elapsed = time.perf_counter() - t0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20 and elapsed < 0.1
+        assert table.sieved_limit == 0
 
     def test_at_least_four_from_second_index(self, table_2m):
         for i in range(2, 120):

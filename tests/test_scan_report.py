@@ -8,7 +8,9 @@ from prime_gauge import (
     BudgetError,
     DomainError,
     UsageError,
+    build_basis,
     emit,
+    leg,
     records_from_json,
     reproduce_table,
     run_scan,
@@ -27,6 +29,14 @@ class TestRunScan:
         for rec in records:
             n = rec.inputs["n"]
             assert rec.actual == oracle.count(n * n, (n + 1) ** 2, True, True)
+
+    def test_improved_legendre_unsorted_grid_in_two_runs(self):
+        # n = 3, 4 and n = 5000, 5001 lie far more than a segment apart.
+        ns = [5001, 3, 4, 5000, 3]
+        records = run_scan("improved_legendre", [{"n": n} for n in ns])
+        basis = build_basis(5003)
+        assert [r.inputs["n"] for r in records] == ns
+        assert [r.actual for r in records] == [leg(n, basis) for n in ns]
 
     def test_empty_grid(self):
         assert run_scan("improved_legendre", []) == []

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -19,6 +20,8 @@ from prime_gauge import (
     pi,
     pi_at_points,
 )
+
+from prime_gauge.sieve import _count_spans
 
 from oracles import trial_count, trial_is_prime, trial_nth, trial_pi
 
@@ -238,6 +241,21 @@ class TestPiTable:
         with pytest.raises(BudgetError):
             pi(10**5 + 1, table)
 
+    def test_growth_beyond_cap_fails_before_allocating(self):
+        # 10^18 bytes of flags: refused at once instead of a MemoryError traceback.
+        table = PiTable(budget=10**19)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetError, match="above the cap"):
+                table.pi(10**18)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and elapsed < 0.1
+        assert table.sieved_limit == 0
+
     def test_checkpoints(self):
         table = PiTable(budget=10**6, checkpoint_stride=100_000)
         pi(10**6, table)
@@ -341,6 +359,38 @@ def test_concurrent_queries_match_serial():
     assert all(got == expected[q] for a in answers for q, got in a)
 
 
+SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
+EDGE_SPANS = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2), (2, 1)]
+
+
+class TestCountSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spans=st.lists(SPAN | st.sampled_from(EDGE_SPANS), max_size=12),
+        repeats=st.lists(st.integers(0, 11), max_size=3),
+        size=st.integers(1, 64),
+    )
+    def test_matches_oracle(self, oracle_100k, spans, repeats, size):
+        # Unsorted, overlapping and empty spans, repeats, and gaps shorter and
+        # longer than a segment, which decide whether two spans share a run.
+        spans += [spans[i] for i in repeats if i < len(spans)]
+        got = _count_spans(spans, build_basis(60).primes, size)
+        assert got == [oracle_100k.count(a, b) for a, b in spans]
+
+    def test_only_runs_covering_the_spans_are_sieved(self):
+        # Two spans 3 * 10^8 apart: sieving the gap between them takes seconds.
+        primes = build_basis(17_321).primes
+        t0 = time.perf_counter()
+        got = _count_spans([(3 * 10**8 - 100, 3 * 10**8), (90, 100)], primes, 1 << 16)
+        assert time.perf_counter() - t0 < 1
+        assert got == [trial_count(3 * 10**8 - 100, 3 * 10**8), 1]
+
+    @pytest.mark.parametrize("seg", [0, -4])
+    def test_bad_segment_size(self, seg):
+        with pytest.raises(DomainError):
+            _count_spans([], build_basis(2).primes, seg)
+
+
 class TestPiAtPoints:
     def test_matches_pi(self, table_2m):
         points = [0, 1, 2, 10, 99, 65_536, 123_456, 999_999]
@@ -372,3 +422,14 @@ class TestPiAtPoints:
         baseline = pi_at_points(points, budget=10**5)
         for seg in (1 << 10, 1 << 14, 1 << 20):
             assert pi_at_points(points, budget=10**5, segment_size=seg) == baseline
+
+    def test_memory_holds_about_one_segment(self):
+        # One point near 6.4 * 10^7: the sweep keeps a segment of flags, not its cumsum.
+        tracemalloc.start()
+        try:
+            result = pi_at_points([64_000_000], budget=10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == {64_000_000: 3_785_086}
+        assert peak < 64 * 2**20
