@@ -40,7 +40,8 @@ RUNS = {
 
 
 def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    return proc.stdout
 
 
 def _cpu_model() -> str:
@@ -91,7 +92,8 @@ def measure(argv: list[str]) -> dict:
 
 
 def main() -> int:
-    taken = [int(m.group(1)) for p in ROOT.glob("BENCH_*.json") if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    names = (re.fullmatch(r"BENCH_(\d+)\.json", p.name) for p in ROOT.glob("BENCH_*.json"))
+    taken = [int(m.group(1)) for m in names if m]
     path = ROOT / f"BENCH_{max(taken, default=0) + 1}.json"
     record = {
         "recorded_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
