@@ -5,6 +5,11 @@ flags behind everything that sieves: the base primes, `PiTable` (pi(x) and
 n-th-prime queries over appended blocks of flags, each with the count of
 primes below it) and one span counter, which counts the primes in many
 intervals at once behind `count_primes`, `pi_at_points` and `leg_many`.
+
+The kernel stores and marks odd integers only. The flags of a segment [lo, hi]
+hold one byte per odd integer in it: flag i stands for (lo | 1) + 2i, and the
+odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
+prime 2 itself.
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ import numpy as np
 from .errors import BudgetError, DomainError, RangeOverflowError
 
 DEFAULT_BUDGET = 1 << 31
-DEFAULT_SEGMENT_SIZE = 1 << 20
+DEFAULT_SEGMENT_SIZE = 1 << 21  # integers, so 1 MB of odd flags
 DEFAULT_CHECKPOINT_STRIDE = 1 << 24
 INT64_MAX = (1 << 63) - 1
 
-_BLOCK = 1 << 16  # integers per PiTable block
+_BLOCK = 1 << 16  # integers per PiTable block, which holds the flags of its 2^15 odd ones
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
-# A PiTable holds one byte of flags per integer in [0, limit]; refuse to grow
-# beyond what the default budget needs.
+# A PiTable holds one byte of flags per odd integer in [0, limit], half a byte
+# per integer; refuse to grow beyond the integers the default budget needs.
 _TABLE_CAP = DEFAULT_BUDGET + 1
 
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24.
@@ -63,7 +68,10 @@ def build_basis(limit: int) -> PrimeBasis:
 def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, sieved from the primes up to isqrt(limit)."""
     seed = _primes_upto(math.isqrt(limit)) if limit >= 4 else np.zeros(0, dtype=np.int64)
-    return np.concatenate([lo + np.flatnonzero(f) for lo, f in _segments(0, limit, seed)])
+    primes = [(lo | 1) + 2 * np.flatnonzero(f) for lo, f in _segments(0, limit, seed)]
+    if limit >= 2:
+        primes.insert(0, np.array([2], dtype=np.int64))
+    return np.concatenate(primes)
 
 
 def is_prime(n: int) -> bool:
@@ -134,21 +142,24 @@ class Interval:
 
 
 def _segment_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Prime flags for the inclusive range [lo, hi] from the given base primes."""
-    flags = np.ones(hi - lo + 1, dtype=bool)
+    """Prime flags for the odd integers in [lo, hi]: flag i stands for (lo | 1) + 2i.
+
+    `primes` are the base primes in order from 2. The prime 2 marks nothing;
+    each odd p strikes its odd multiples from max(p^2, lo) on, p flags apart.
+    """
+    base = lo // 2
+    flags = np.ones((hi + 1) // 2 - base, dtype=bool)
     if lo < 2:
-        flags[: min(2, hi + 1) - lo] = False
-    root = math.isqrt(hi)
-    cut = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:cut].tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            flags[start - lo :: p] = False
+        flags[:1] = False  # the integer 1
+    cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
+    for p in primes[1:cut].tolist():
+        start = max(p * p, (-(-lo // p) | 1) * p)
+        flags[start // 2 - base :: p] = False
     return flags
 
 
 def _segments(a: int, b: int, primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE):
-    """(seg_lo, flags) for [a, b] in consecutive pieces of at most `size` integers."""
+    """(seg_lo, odd flags) for [a, b] in consecutive pieces of at most `size` integers."""
     return ((lo, _segment_flags(lo, min(lo + size - 1, b), primes)) for lo in range(a, b + 1, size))
 
 
@@ -158,10 +169,11 @@ def _count_spans(
     """The number of primes in each inclusive span [a, b] of nonnegative integers, 0 where a > b.
 
     Only runs that cover the spans are sieved, one segment at a time; spans
-    less than a segment apart share a run. `below[x]` counts the primes up
-    to x among the integers sieved so far, taken with `count_nonzero` over
-    the slices between the sorted span ends, so a span is
-    below[b] - below[a - 1]. At most two segments of flags are alive at once.
+    less than a segment apart share a run. `below[x]` counts the odd primes
+    up to x among the integers sieved so far, taken with `count_nonzero`
+    over the slices between the sorted span ends, so a span is
+    below[b] - below[a - 1], plus 1 for the prime 2 when a <= 2 <= b. At most
+    two segments of flags are alive at once.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
@@ -179,15 +191,15 @@ def _count_spans(
             below[cuts[k]] = running
             k += 1
         for seg_lo, flags in _segments(lo, hi, primes, size):
-            pos, seg_end = 0, seg_lo + len(flags)
+            pos, seg_end = 0, min(seg_lo + size, hi + 1)
             while k < len(cuts) and cuts[k] < seg_end:
-                end = cuts[k] - seg_lo + 1
+                end = (cuts[k] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
                 running += int(np.count_nonzero(flags[pos:end]))
                 below[cuts[k]] = running
                 pos = end
                 k += 1
             running += int(np.count_nonzero(flags[pos:]))
-    return [below[b] - below[a - 1] if a <= b else 0 for a, b in spans]
+    return [below[b] - below[a - 1] + (a <= 2 <= b) if a <= b else 0 for a, b in spans]
 
 
 def count_primes(
@@ -221,8 +233,9 @@ def _dusart_floor(i: int) -> float:
 class PiTable:
     """Exact pi(x) and n-th-prime queries over a lazily grown sieve.
 
-    The sieved range is kept as blocks of 2^16 prime flags with `_below[j]`,
-    the number of primes below block j. Growth appends blocks, in whole
+    The sieved range is kept as blocks of 2^16 integers, each holding the
+    prime flags of its 2^15 odd integers, with `_below[j]`, the prime 2 and
+    the number of odd primes below block j. Growth appends blocks, in whole
     strides up to the budget, under a lock; it builds new lists that keep
     every published block and count, and publishes the new limit last, so
     queries need no lock. `checkpoints[j]` is pi(j * checkpoint_stride) for
@@ -241,7 +254,7 @@ class PiTable:
         self.budget = budget
         self.checkpoint_stride = checkpoint_stride
         self._blocks: list[np.ndarray] = []  # views into one array per growth
-        self._below = np.zeros(1, dtype=np.int64)  # _below[j] = pi(j * _BLOCK - 1)
+        self._below = np.ones(1, dtype=np.int64)  # _below[j] = pi(max(2, j * _BLOCK - 1))
         self._limit = 0
         self._lock = threading.RLock()
 
@@ -265,18 +278,21 @@ class PiTable:
             # Within the cap, the base primes stay far below _BASIS_CAP.
             if new_limit + 1 > _TABLE_CAP:
                 raise BudgetError(
-                    f"a pi table up to {new_limit} needs {new_limit + 1} bytes of flags,"
+                    f"a pi table up to {new_limit} sieves {new_limit + 1} integers,"
                     f" above the cap {_TABLE_CAP}"
                 )
             full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
             primes = _primes_upto(math.isqrt(new_limit))
             # One array per growth, not per segment: new tables reuse freed memory.
-            lo = full * _BLOCK
-            flags = np.empty(new_limit - lo + 1, dtype=bool)
+            lo, half = full * _BLOCK, _BLOCK // 2
+            flags = np.empty((new_limit + 1) // 2 - lo // 2, dtype=bool)
             for seg_lo, seg in _segments(lo, new_limit, primes):
-                flags[seg_lo - lo : seg_lo - lo + len(seg)] = seg
+                at = (seg_lo - lo) // 2  # segments start at even integers
+                flags[at : at + len(seg)] = seg
                 del seg  # free it before the next segment is sieved
-            fresh = [flags[k : k + _BLOCK] for k in range(0, len(flags), _BLOCK)]
+            # Count blocks by integers: a limit of j * _BLOCK gives block j no odd flag.
+            blocks = range(new_limit // _BLOCK + 1 - full)
+            fresh = [flags[k * half : (k + 1) * half] for k in blocks]
             counts = np.cumsum([np.count_nonzero(b) for b in fresh], dtype=np.int64)
             self._blocks = self._blocks[:full] + fresh
             self._below = np.concatenate((self._below[: full + 1], self._below[full] + counts))
@@ -287,7 +303,8 @@ class PiTable:
         if x < 2:
             return 0
         j = x // _BLOCK
-        return int(self._below[j]) + int(np.count_nonzero(self._blocks[j][: x - j * _BLOCK + 1]))
+        odd = (x - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
+        return int(self._below[j]) + int(np.count_nonzero(self._blocks[j][:odd]))
 
     def pi(self, x: int) -> int:
         if x < 0:
@@ -319,7 +336,7 @@ class PiTable:
         below = self._below
         j = int(np.searchsorted(below, i, side="left")) - 1
         offsets = np.flatnonzero(self._blocks[j])
-        return j * _BLOCK + int(offsets[i - int(below[j]) - 1])
+        return j * _BLOCK + 2 * int(offsets[i - int(below[j]) - 1]) + 1
 
 
 def pi(x: int, table: PiTable) -> int:

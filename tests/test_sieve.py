@@ -256,6 +256,16 @@ class TestPiTable:
         assert peak < 2**20 and elapsed < 0.1
         assert table.sieved_limit == 0
 
+    def test_table_holds_half_a_byte_per_integer(self):
+        # Flags for the odd integers only: 2^23 bytes for [0, 2^24], plus one segment.
+        tracemalloc.start()
+        try:
+            assert PiTable(budget=2**24).pi(2**24) == 1_077_871
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     def test_checkpoints(self):
         table = PiTable(budget=10**6, checkpoint_stride=100_000)
         pi(10**6, table)
@@ -357,6 +367,20 @@ def test_concurrent_queries_match_serial():
     assert not any(th.is_alive() for th in threads)
     assert [len(a) for a in answers] == [len(q) for q in queries]
     assert all(got == expected[q] for a in answers for q, got in a)
+
+
+def test_prime_two_in_small_spans_and_budgets(oracle_100k):
+    # The kernel holds odd integers only, so every consumer counts 2 itself.
+    spans = [(a, b) for a in range(5) for b in range(a - 1, 13)]
+    expected = [oracle_100k.count(a, b) for a, b in spans]
+    primes = build_basis(4).primes
+    for size in range(1, 9):
+        assert _count_spans(spans, primes, size) == expected
+        assert [_count_spans([s], primes, size)[0] for s in spans] == expected
+    for b in range(2, 13):
+        table = PiTable(budget=b)
+        assert table.pi(b) == oracle_100k.pi(b)
+        assert table.nth(table.pi(b)) == max(p for p in range(b + 1) if trial_is_prime(p))
 
 
 SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))

@@ -3,12 +3,14 @@
 
     python3 tools/record_bench.py
 
-Four runs, one after another, each in its own child process: the Tier-1
+Five runs, one after another, each in its own child process: the Tier-1
 test suite, `leg-scan --from 1 --to 45000` (acceptance 7a), `table --id 3
---budget 100000000` and `rosser --n 2000000000`. For each it stores the exit
-code, the wall time and the peak RSS of the child and its descendants (the
-rusage that wait4 returns, the figure RUSAGE_CHILDREN reports), plus a digest
-of the CLI's stdout or the suite's summary line. The file also names the
+--budget 100000000`, `rosser --n 2000000000` and `leg-scan --from 1 --to
+100000 --budget 10000200000`, whose last interval ends at 100001^2 - 1.
+For each it stores the exit code, the wall time and the peak RSS of the
+child and its descendants (the rusage that wait4 returns, the figure
+RUSAGE_CHILDREN reports), plus a digest of the CLI's stdout or the suite's
+summary line. The file also names the
 host, the Python and numpy versions, the git sha and whether tracked files
 differ from it. k is one more than the largest k already recorded.
 Standard library only.
@@ -36,6 +38,8 @@ RUNS = {
     "leg_scan_1_45000": CLI + ["leg-scan", "--from", "1", "--to", "45000"],
     "table3_budget_1e8": CLI + ["table", "--id", "3", "--budget", "100000000"],
     "rosser_2e9": CLI + ["rosser", "--n", "2000000000"],
+    "leg_scan_1_100000": CLI
+    + ["leg-scan", "--from", "1", "--to", "100000", "--budget", "10000200000"],
 }
 
 
