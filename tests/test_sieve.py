@@ -203,6 +203,14 @@ class TestPiTable:
             for x in range(k * 2**20 - 64, k * 2**20 + 65):
                 assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
 
+    def test_one_growth_across_segment_boundaries(self):
+        # One growth from 0 walks segments of 2^21 integers, so k * 2^21 starts one.
+        table = PiTable(budget=4 * 2**21)
+        assert table.pi(4 * 2**21) == 564_163
+        for k in (1, 2, 3):
+            for x in range(k * 2**21 - 64, k * 2**21 + 65):
+                assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
+
     def test_growth_allocates_only_fresh_ranges(self):
         # After seven climbing growths, the eighth sieves one more stride; it
         # must not allocate (or copy into) a bitmap of the whole range.
