@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import BudgetError, DomainError
 from .sieve import (
     DEFAULT_BUDGET,
@@ -27,6 +29,7 @@ from .sieve import (
 
 # Tolerance for snapping 1.1*ln(2.5k) to an integer before the ceiling.
 _CEIL_GUARD = 1e-9
+_SCAN_CHUNK = 1 << 16  # threshold_search counts this many n per batched pi query
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,12 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
     every published threshold; it is at least as strict as asking for k-1
     primes strictly inside (n, kn), so the reported threshold is valid for
     the open-interval reading as well.
+
+    The table grows to k * scan_limit first, so a scan beyond its cap is
+    refused before any sieving. The scan then takes the n in chunks of 2^16
+    and counts each chunk's intervals with two batched pi queries,
+    pi(kn) - pi(n - 1). Beyond the table it holds a few int64 arrays of one
+    chunk's points and the prime offsets of one block.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
@@ -201,10 +210,13 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
             f"k * scan_limit = {k * scan_limit} exceeds the budget {table.budget}"
         )
     formula_a = threshold_formula(k)
+    table.pi(k * scan_limit)
     last_failing = 0
-    for n in range(1, scan_limit + 1):
-        if closed_interval_count(n, k, table) < k:
-            last_failing = n
+    for lo in range(1, scan_limit + 1, _SCAN_CHUNK):
+        ns = np.arange(lo, min(lo + _SCAN_CHUNK, scan_limit + 1), dtype=np.int64)
+        failing = np.flatnonzero(table._pi_many(k * ns) - table._pi_many(ns - 1) < k)
+        if len(failing):
+            last_failing = lo + int(failing[-1])
     return ThresholdResult(
         k=k,
         formula_a=formula_a,

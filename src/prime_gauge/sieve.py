@@ -306,6 +306,30 @@ class PiTable:
         odd = (x - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
         return int(self._below[j]) + int(np.count_nonzero(self._blocks[j][:odd]))
 
+    def _pi_many(self, xs: np.ndarray) -> np.ndarray:
+        """pi at each point of an int64 array of points in [0, budget], in the given order.
+
+        The table grows once, to the largest point. Points are grouped by
+        block, so each touched block is read once: pi(x) is _below[j] plus
+        the odd primes of block j whose offsets lie below x's. Only one
+        block's prime offsets are alive at a time.
+        """
+        xs = np.asarray(xs, dtype=np.int64)
+        pis = np.zeros(len(xs), dtype=np.int64)
+        top = int(xs.max()) if len(xs) else 0
+        if top < 2:
+            return pis
+        self._ensure(top)
+        blocks, below = self._blocks, self._below
+        js = xs // _BLOCK
+        order = np.argsort(js, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
+            j = int(js[group[0]])
+            odd = (xs[group] - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
+            pis[group] = below[j] + np.searchsorted(np.flatnonzero(blocks[j]), odd)
+        pis[xs < 2] = 0
+        return pis
+
     def pi(self, x: int) -> int:
         if x < 0:
             raise DomainError(f"pi expects a nonnegative argument, got {x}")

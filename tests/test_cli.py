@@ -160,6 +160,8 @@ class TestExitCodes:
             ("count", "--n", "10", "--k", str(10**17), "--budget", str(10**19)),
             ("rosser", "--n", str(10**18), "--budget", str(10**19)),
             ("brocard", "--i", "100000000"),
+            ("threshold", "--k", "10", "--scan-limit", str(10**17), "--budget", str(10**19)),
+            ("threshold", "--k", "1000", "--scan-limit", str(10**7)),
         ],
     )
     def test_far_beyond_memory_fails_fast(self, capsys, argv):

@@ -10,6 +10,7 @@ from prime_gauge import (
     BudgetError,
     DomainError,
     PiTable,
+    ThresholdResult,
     bertrand_check,
     brocard_count,
     brocard_decomposition,
@@ -31,6 +32,8 @@ from prime_gauge import (
     threshold_search,
     build_basis,
 )
+
+from prime_gauge import conjectures
 
 from oracles import trial_count, trial_is_prime
 
@@ -225,6 +228,52 @@ class TestThresholdSearch:
         table = PiTable(budget=10**5)
         with pytest.raises(BudgetError):
             threshold_search(1000, 10**4, table)
+
+    def test_matches_trial_division_scan(self, oracle_100k):
+        # Every k in 2..60 and scan limit in 1..400, against the per-n
+        # predicate: [n, kn] holds fewer than k primes.
+        table = PiTable(budget=60 * 400)
+        for k in range(2, 61):
+            last_failing = 0
+            for limit in range(1, 401):
+                if oracle_100k.count(limit, k * limit) < k:
+                    last_failing = limit
+                expected = ThresholdResult(
+                    k=k,
+                    formula_a=threshold_formula(k),
+                    observed_threshold=last_failing + 1,
+                    last_failing_n=last_failing,
+                    scan_limit=limit,
+                    conjecture_holds_on_scan=last_failing < threshold_formula(k),
+                )
+                assert threshold_search(k, limit, table) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_chunk_size_invariance(self, oracle_100k, monkeypatch, chunk):
+        # Small chunks put the failing n in a later chunk than the first.
+        table = PiTable(budget=65 * 300)
+        expected = {k: threshold_search(k, 300, table) for k in (2, 5, 22, 65)}
+        monkeypatch.setattr(conjectures, "_SCAN_CHUNK", chunk)
+        for k, res in expected.items():
+            assert threshold_search(k, 300, table) == res
+            last = max(n for n in range(301) if n == 0 or oracle_100k.count(n, k * n) < k)
+            assert res.last_failing_n == last
+
+    def test_long_scan_time_and_memory(self):
+        # 4 * 10^6 n in chunks: a few MB of points at a time, not 4 * 10^6 of them.
+        table = PiTable(budget=8 * 10**6)
+        table.pi(8 * 10**6)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            res = threshold_search(2, 4 * 10**6, table)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.observed_threshold, res.last_failing_n) == (2, 1)
+        assert elapsed < 5
+        assert peak < 16 * 2**20
 
 
 class TestBrocard:

@@ -4,8 +4,9 @@ import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prime_gauge import (
@@ -13,6 +14,7 @@ from prime_gauge import (
     DomainError,
     Interval,
     PiTable,
+    RangeOverflowError,
     build_basis,
     count_primes,
     is_prime,
@@ -21,9 +23,12 @@ from prime_gauge import (
     pi_at_points,
 )
 
-from prime_gauge.sieve import _count_spans
+from prime_gauge.sieve import INT64_MAX, _checked_mul, _count_spans
 
-from oracles import trial_count, trial_is_prime, trial_nth, trial_pi
+from oracles import TrialPrefix, trial_count, trial_is_prime, trial_nth, trial_pi
+
+
+INT64_EDGES = [0, 1, 2, INT64_MAX - 2, INT64_MAX - 1, INT64_MAX]
 
 
 class TestBuildBasis:
@@ -86,6 +91,42 @@ class TestIsPrime:
         with pytest.raises(DomainError):
             is_prime(-1)
 
+    def test_int64_edge(self):
+        assert is_prime(2**63 - 25) and is_prime(2**61 - 1)
+        assert 7**2 * 73 * 127 * 337 * 92737 * 649657 == 2**63 - 1
+        assert not is_prime(2**63 - 1)
+        with pytest.raises(RangeOverflowError):
+            is_prime(2**63)
+
+
+class TestCheckedMul:
+    @staticmethod
+    def check(a: int, b: int) -> None:
+        if a * b > INT64_MAX:
+            with pytest.raises(RangeOverflowError):
+                _checked_mul(a, b)
+        else:
+            assert _checked_mul(a, b) == a * b
+
+    @given(a=st.integers(0, 2**64), b=st.integers(0, 2**64))
+    def test_raises_exactly_beyond_int64(self, a, b):
+        self.check(a, b)
+
+    @given(b=st.integers(1, 2**64), delta=st.integers(-2, 2))
+    def test_at_the_int64_edge(self, b, delta):
+        # a * b straddles 2^63 - 1: the largest a that fits, and its neighbours.
+        a = max(0, INT64_MAX // b + delta)
+        self.check(a, b)
+        self.check(b, a)
+
+    def test_examples(self):
+        assert _checked_mul(7**2 * 73 * 127 * 337 * 92737, 649657) == INT64_MAX
+        assert _checked_mul(INT64_MAX, 1) == INT64_MAX
+        assert _checked_mul(0, 2**70) == 0
+        for a, b in ((2**62, 2), (2**32, 2**31), (INT64_MAX, 2)):
+            with pytest.raises(RangeOverflowError):
+                _checked_mul(a, b)
+
 
 class TestInterval:
     def test_endpoint_semantics(self):
@@ -108,6 +149,32 @@ class TestInterval:
             Interval(5, 4)
         with pytest.raises(DomainError):
             Interval(-1, 4)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_int64_range(self, lo_open, hi_open):
+        iv = Interval(0, INT64_MAX, lo_open=lo_open, hi_open=hi_open)
+        assert iv.bounds() == (int(lo_open), INT64_MAX - hi_open)
+        assert iv.contains(0) == (not lo_open)
+        assert iv.contains(INT64_MAX) == (not hi_open)
+        assert iv.contains(1) and iv.contains(INT64_MAX - 1)
+        assert not iv.contains(-1) and not iv.contains(INT64_MAX + 1)
+
+    @given(
+        lo=st.sampled_from(INT64_EDGES),
+        hi=st.sampled_from(INT64_EDGES),
+        lo_open=st.booleans(),
+        hi_open=st.booleans(),
+        x=st.integers(-2, 3) | st.integers(INT64_MAX - 3, INT64_MAX + 2),
+    )
+    def test_int64_edges(self, lo, hi, lo_open, hi_open, x):
+        assume(lo <= hi)
+        iv = Interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
+        assert iv.bounds() == (lo + lo_open, hi - hi_open)
+        above_lo = lo < x or (x == lo and not lo_open)
+        below_hi = x < hi or (x == hi and not hi_open)
+        assert iv.contains(x) == (above_lo and below_hi)
+        assert iv.is_empty() == (hi - lo < lo_open + hi_open)
 
 
 class TestCountPrimes:
@@ -186,10 +253,12 @@ class TestPiTable:
             assert PiTable(budget=b).pi(b) == trial_pi(b)
 
     def test_growth_across_segment_boundaries(self):
-        # The stride is no multiple of 2^20, so growth steps do not line up
-        # with multiples of the 2^20 segment size; the climbing queries grow
-        # the table three times, across 2^20, 2^21 and 3 * 2^20.
-        table = PiTable(budget=4 * 10**6, checkpoint_stride=3 * 2**19 + 7)
+        # The climbing queries grow the table three times, to 3 * 2^20 + 7,
+        # 6 * 2^20 + 14 and 7 * 10^6. Each growth walks 2^21-integer segments
+        # from the first block it does not hold yet, so the first crosses a
+        # segment boundary at 2^21, the second starts at 3 * 2^20 and crosses
+        # one at 5 * 2^20, and the third starts at 3 * 2^21.
+        table = PiTable(budget=7 * 10**6, checkpoint_stride=3 * 2**20 + 7)
         published = [
             (10**6, 78_498),
             (2**20, 82_025),
@@ -197,9 +266,10 @@ class TestPiTable:
             (2**21, 155_611),
             (3 * 10**6, 216_816),
             (4 * 10**6, 283_146),
+            (7 * 10**6, 476_648),
         ]
         assert [(x, table.pi(x)) for x, _ in published] == published
-        for k in (1, 2, 3):
+        for k in range(1, 7):
             for x in range(k * 2**20 - 64, k * 2**20 + 65):
                 assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
 
@@ -288,6 +358,49 @@ class TestPiTable:
         fresh = PiTable(budget=10**6)
         expected = {x: fresh.pi(x) for x in sorted(seq)}
         assert [grown.pi(x) for x in seq] == [expected[x] for x in seq]
+
+
+# Points next to the block boundaries k * 2^16 and the edges of the domain.
+PI_MANY_EDGES = [0, 1, 2] + [k * 2**16 + d for k in (1, 2, 3) for d in range(-2, 3)]
+PI_MANY_TOP = PI_MANY_EDGES[-1]
+
+
+@pytest.fixture(scope="module")
+def oracle_pi_many() -> TrialPrefix:
+    return TrialPrefix(PI_MANY_TOP)
+
+
+class TestPiMany:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        budget=st.integers(2, PI_MANY_TOP) | st.sampled_from(PI_MANY_EDGES[3:]),
+        stride=st.integers(1, 2**17),
+        grown=st.none() | st.integers(0, PI_MANY_TOP),
+        picks=st.lists(st.integers(0, PI_MANY_TOP), max_size=30),
+        repeats=st.lists(st.integers(0, 40), max_size=6),
+        shuffle=st.randoms(use_true_random=False),
+    )
+    def test_matches_oracle_and_scalar_pi(
+        self, oracle_pi_many, budget, stride, grown, picks, repeats, shuffle
+    ):
+        # An ungrown table, or one grown part of the way, so that the call
+        # grows it; unsorted, repeated points, and the budget itself.
+        table = PiTable(budget=budget, checkpoint_stride=stride)
+        if grown is not None:
+            table.pi(min(grown, budget))
+        xs = [x for x in picks + PI_MANY_EDGES + [budget] if x <= budget]
+        xs += [xs[i] for i in repeats if i < len(xs)]
+        shuffle.shuffle(xs)
+        got = table._pi_many(np.array(xs, dtype=np.int64))
+        assert table.sieved_limit >= max(xs)
+        assert got.tolist() == [oracle_pi_many.pi(x) for x in xs]
+        assert got.tolist() == [table.pi(x) for x in xs]
+
+    def test_no_points_and_points_below_two(self):
+        table = PiTable(budget=100)
+        assert table._pi_many(np.zeros(0, dtype=np.int64)).tolist() == []
+        assert table._pi_many(np.array([1, 0, 1], dtype=np.int64)).tolist() == [0, 0, 0]
+        assert table.sieved_limit == 0
 
 
 class TestNthPrime:
