@@ -200,11 +200,11 @@ def _rule_threshold(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanReco
 def _rule_brocard(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     """Brocard's count; a nonzero `decompose` adds its two end subintervals."""
     i = point["i"]
+    if i < 2:
+        # The at-least-4 claim relies on consecutive odd primes, so (2, 3) is no violation.
+        raise DomainError(f"the at-least-4 claim needs i >= 2, got {i}")
     value = brocard_count(i, ctx.table)
-    # The at-least-4 claim relies on consecutive odd primes, so i = 1
-    # is surfaced but not judged.
-    passed = value >= 4 if i >= 2 else True
-    records = [ScanRecord("brocard", {"i": i}, value, {"min_required": 4.0}, passed)]
+    records = [ScanRecord("brocard", {"i": i}, value, {"min_required": 4.0}, value >= 4)]
     if point.get("decompose"):
         first, second = brocard_decomposition(i, ctx.table)
         for rule, part in (("brocard_left", first), ("brocard_right", second)):

@@ -25,7 +25,7 @@ from .errors import BudgetError, DomainError, RangeOverflowError
 
 DEFAULT_BUDGET = 1 << 31
 DEFAULT_SEGMENT_SIZE = 1 << 21  # integers, so 1 MB of odd flags
-DEFAULT_CHECKPOINT_STRIDE = 1 << 24
+DEFAULT_CHECKPOINT_STRIDE = 1 << 24  # the most a PiTable growth sieves beyond its query
 INT64_MAX = (1 << 63) - 1
 
 _BLOCK = 1 << 16  # integers per PiTable block, which holds the flags of its 2^15 odd ones
@@ -235,11 +235,16 @@ class PiTable:
 
     The sieved range is kept as blocks of 2^16 integers, each holding the
     prime flags of its 2^15 odd integers, with `_below[j]`, the prime 2 and
-    the number of odd primes below block j. Growth appends blocks, in whole
-    strides up to the budget, under a lock; it builds new lists that keep
-    every published block and count, and publishes the new limit last, so
-    queries need no lock. `checkpoints[j]` is pi(j * checkpoint_stride) for
-    every stride covered so far.
+    the number of odd primes below block j. A query past the sieved limit
+    grows the table to the query, or further when it climbs: a growth at
+    least doubles the limit but adds at most one checkpoint stride beyond
+    it, so after queries up to x the table holds at most
+    min(2x, x + checkpoint_stride) integers, never past the budget, in
+    O(log stride + x / stride) growths. Growth appends blocks under a
+    lock; it builds new lists that keep every published block and count,
+    and publishes the new limit last, so queries need no lock.
+    `checkpoints[j]` is pi(j * checkpoint_stride) for every stride covered
+    so far.
     """
 
     def __init__(
@@ -273,14 +278,14 @@ class PiTable:
         with self._lock:
             if x <= self._limit:
                 return
-            stride = self.checkpoint_stride
-            new_limit = min(self.budget, ((x + stride - 1) // stride) * stride)
             # Within the cap, the base primes stay far below _BASIS_CAP.
-            if new_limit + 1 > _TABLE_CAP:
+            if x + 1 > _TABLE_CAP:
                 raise BudgetError(
-                    f"a pi table up to {new_limit} sieves {new_limit + 1} integers,"
-                    f" above the cap {_TABLE_CAP}"
+                    f"a pi table up to {x} sieves {x + 1} integers, above the cap {_TABLE_CAP}"
                 )
+            # At least double, by at most one stride: a fresh table sieves [0, x].
+            step = min(self._limit, self.checkpoint_stride)
+            new_limit = min(self.budget, _TABLE_CAP - 1, max(x, self._limit + step))
             full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
             primes = _primes_upto(math.isqrt(new_limit))
             # One array per growth, not per segment: new tables reuse freed memory.

@@ -162,6 +162,8 @@ class TestExitCodes:
             ("brocard", "--i", "100000000"),
             ("threshold", "--k", "10", "--scan-limit", str(10**17), "--budget", str(10**19)),
             ("threshold", "--k", "1000", "--scan-limit", str(10**7)),
+            ("pnt-ratio", "--n", str(10**18), "--budget", str(10**19)),
+            ("ubcount", "--n", str(10**17), "--k", "10", "--budget", str(10**19)),
         ],
     )
     def test_far_beyond_memory_fails_fast(self, capsys, argv):

@@ -55,6 +55,7 @@ GOLDEN = [
         "brocard_left,2,2,2.0,true\nbrocard_right,2,3,2.0,true\n",
     ),
     (["brocard", "--i", "1", "--decompose"], 2, ""),
+    (["brocard", "--i", "1"], 2, ""),
     (["nth-bound", "--n", "32"], 0, "rule,n,actual,bound_upper,pass\nnth_prime_bound,32,131,448.0,true\n"),
     (["nth-bound", "--n", "3"], 1, "rule,n,actual,bound_upper,pass\nnth_prime_bound,3,5,4.0,false\n"),
     (

@@ -23,6 +23,7 @@ from prime_gauge import (
     pi_at_points,
 )
 
+from prime_gauge import sieve
 from prime_gauge.sieve import INT64_MAX, _checked_mul, _count_spans
 
 from oracles import TrialPrefix, trial_count, trial_is_prime, trial_nth, trial_pi
@@ -253,12 +254,14 @@ class TestPiTable:
             assert PiTable(budget=b).pi(b) == trial_pi(b)
 
     def test_growth_across_segment_boundaries(self):
-        # The climbing queries grow the table three times, to 3 * 2^20 + 7,
-        # 6 * 2^20 + 14 and 7 * 10^6. Each growth walks 2^21-integer segments
-        # from the first block it does not hold yet, so the first crosses a
+        # A query of one stride, then the climbing queries, grow the table
+        # three times, to 3 * 2^20 + 7, 6 * 2^20 + 14 (twice the limit) and
+        # 7 * 10^6 (the budget). Each growth walks 2^21-integer segments from
+        # the first block it does not hold yet, so the first crosses a
         # segment boundary at 2^21, the second starts at 3 * 2^20 and crosses
         # one at 5 * 2^20, and the third starts at 3 * 2^21.
         table = PiTable(budget=7 * 10**6, checkpoint_stride=3 * 2**20 + 7)
+        assert table.pi(3 * 2**20 + 7) == 226_549
         published = [
             (10**6, 78_498),
             (2**20, 82_025),
@@ -313,6 +316,63 @@ class TestPiTable:
         checkpoints = table.checkpoints
         assert len(checkpoints) == table.sieved_limit // stride + 1
         assert checkpoints == [oracle_100k.pi(j * stride) for j in range(len(checkpoints))]
+
+    def test_fresh_table_sieves_only_to_the_query(self):
+        # Far below one 2^24 stride: [0, 10^5] and no more, about 50 KB of flags.
+        table = PiTable(budget=10**8)
+        tracemalloc.start()
+        try:
+            assert table.pi(10**5) == 9592
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.sieved_limit == 10**5
+        assert peak < 2**20
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        budget=st.integers(min_value=2, max_value=100_000),
+        stride=st.integers(min_value=1, max_value=70_000),
+        queries=st.lists(st.integers(min_value=0, max_value=100_000), min_size=1, max_size=40),
+        climbing=st.booleans(),
+    )
+    def test_growth_stays_near_the_largest_query(
+        self, oracle_100k, budget, stride, queries, climbing
+    ):
+        # Each growth at least doubles the table but adds at most one stride
+        # beyond it, so the table never holds more than min(2x, x + stride)
+        # for the largest query x, in O(log stride + x / stride) growths.
+        xs = [min(q, budget) for q in queries]
+        if climbing:
+            xs.sort()
+        table = PiTable(budget=budget, checkpoint_stride=stride)
+        top = growths = 0
+        for x in xs:
+            before = table.sieved_limit
+            assert table.pi(x) == oracle_100k.pi(x)
+            top = max(top, x)
+            growths += table.sieved_limit != before
+            assert table.sieved_limit <= min(budget, 2 * top, top + stride)
+        assert growths <= math.ceil(math.log2(stride)) + top / stride + 2
+
+    def test_growth_clamps_to_the_cap(self, monkeypatch):
+        # Doubling toward 2^21 stops at the cap; the first query past it is
+        # refused before anything is allocated, naming the query itself.
+        monkeypatch.setattr(sieve, "_TABLE_CAP", 2**20 + 1)
+        table = PiTable(budget=10**9)
+        for x, want in ((300_000, 25_997), (600_001, 49_098), (2**20 - 5, 82_024)):
+            assert table.pi(x) == want
+        assert table.sieved_limit == 2**20
+        assert table.pi(2**20) == 82_025
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"up to {2**20 + 1} sieves"):
+                table.pi(2**20 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert table.sieved_limit == 2**20
 
     def test_budget_error(self):
         table = PiTable(budget=10**5)
