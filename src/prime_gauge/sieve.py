@@ -29,6 +29,7 @@ DEFAULT_CHECKPOINT_STRIDE = 1 << 24  # the most a PiTable growth sieves beyond i
 INT64_MAX = (1 << 63) - 1
 
 _BLOCK = 1 << 16  # integers per PiTable block, which holds the flags of its 2^15 odd ones
+_SELECT_WINDOW = 1 << 11  # odd flags PiTable.nth reads around its estimate within a block
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
 # A PiTable holds one byte of flags per odd integer in [0, limit], half a byte
 # per integer; refuse to grow beyond the integers the default budget needs.
@@ -230,6 +231,23 @@ def _dusart_floor(i: int) -> float:
     return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
+def _select(flags: np.ndarray, r: int, count: int) -> int:
+    """Offset of the r-th set flag (from 1) of a block holding `count` set flags.
+
+    Primes spread nearly evenly over a block, so the r-th lies near r / count
+    of the way in: count the flags before a window around that point and
+    look inside the window. Only when the flag falls outside it is the whole
+    block read.
+    """
+    lo = max(0, r * len(flags) // count - _SELECT_WINDOW // 2)
+    need = r - int(np.count_nonzero(flags[:lo]))
+    if need >= 1:
+        hits = flags[lo : lo + _SELECT_WINDOW].nonzero()[0]
+        if need <= len(hits):
+            return lo + int(hits[need - 1])
+    return int(np.flatnonzero(flags)[r - 1])
+
+
 class PiTable:
     """Exact pi(x) and n-th-prime queries over a lazily grown sieve.
 
@@ -364,8 +382,8 @@ class PiTable:
         self._ensure(est)
         below = self._below
         j = int(np.searchsorted(below, i, side="left")) - 1
-        offsets = np.flatnonzero(self._blocks[j])
-        return j * _BLOCK + 2 * int(offsets[i - int(below[j]) - 1]) + 1
+        r, count = i - int(below[j]), int(below[j + 1] - below[j])
+        return j * _BLOCK + 2 * _select(self._blocks[j], r, count) + 1
 
 
 def pi(x: int, table: PiTable) -> int:

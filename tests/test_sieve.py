@@ -507,6 +507,23 @@ class TestNthPrime:
         assert table.pi(65_537) == table.pi(65_536) + 1 == 6543
         assert table.nth(6543) == 65_537
 
+    def test_select_every_rank_of_every_block(self):
+        # Block 0, where prime density falls fastest, and a partial last block.
+        table = PiTable(budget=3 * 2**16 + 999)
+        table.pi(table.budget)
+        for j, flags in enumerate(table._blocks):
+            count = int(table._below[j + 1] - table._below[j])
+            ranks = [sieve._select(flags, r, count) for r in range(1, count + 1)]
+            assert ranks == np.flatnonzero(flags).tolist()
+
+    def test_select_outside_the_window(self):
+        # Set flags bunched at both ends: the estimate lands in the empty
+        # middle, so every rank is found by reading the whole block.
+        flags = np.zeros(2**15, dtype=bool)
+        flags[:40] = flags[-40:] = True
+        ranks = [sieve._select(flags, r, 80) for r in range(1, 81)]
+        assert ranks == np.flatnonzero(flags).tolist()
+
     def test_budget_edge_uses_exact_path(self):
         # p_2000 = 17389, while Dusart's lower bound is only 17258.
         assert PiTable(budget=17389).nth(2000) == 17389
