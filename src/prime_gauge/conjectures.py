@@ -67,6 +67,7 @@ class NthPrimeBound:
     a: int
     bound: int
     actual: Optional[int]
+    unverified: str = ""  # when actual is None, the error of the limit that refused p_n
 
 
 def leg(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -269,8 +270,8 @@ def nth_prime_bound(n: int, table: PiTable) -> NthPrimeBound:
     """Solve for the tightest exponent in the 2^a (n-a) bound on the n-th prime.
 
     alpha is the least positive x with 2^x > 1.1 ln(2.5(n-x)); the bound
-    uses a = alpha + 1. The actual n-th prime is attached when it lies
-    within the table's budget.
+    uses a = alpha + 1. The actual n-th prime is attached when the table
+    can reach it; otherwise `unverified` says which limit refused it.
     """
     if n < 3:
         raise DomainError(f"the bound solver needs n >= 3, got {n}")
@@ -288,9 +289,9 @@ def nth_prime_bound(n: int, table: PiTable) -> NthPrimeBound:
         raise DomainError(f"resulting exponent a = {a} leaves no room at n = {n}")
     bound = _checked_mul(1 << a, n - a)
     try:
-        actual: Optional[int] = table.nth(n)
-    except BudgetError:
-        actual = None
+        actual = table.nth(n)
+    except BudgetError as exc:
+        return NthPrimeBound(n=n, alpha=alpha, a=a, bound=bound, actual=None, unverified=str(exc))
     return NthPrimeBound(n=n, alpha=alpha, a=a, bound=bound, actual=actual)
 
 

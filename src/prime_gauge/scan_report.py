@@ -147,7 +147,7 @@ def _rule_nth_prime_bound(ctx: ScanContext, point: Mapping[str, int]) -> list[Sc
     res = nth_prime_bound(n, ctx.table)
     if res.actual is None:
         # A bound that cannot be compared with p_n is unverified, not a pass.
-        raise BudgetError(f"prime #{n} lies beyond the budget {ctx.budget}; bound unverified")
+        raise BudgetError(f"{res.unverified}; bound unverified")
     bounds = {"upper": float(res.bound)}
     return [ScanRecord("nth_prime_bound", {"n": n}, res.actual, bounds, res.actual < res.bound)]
 

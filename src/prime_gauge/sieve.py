@@ -9,7 +9,9 @@ intervals at once behind `count_primes`, `pi_at_points` and `leg_many`.
 The kernel stores and marks odd integers only. The flags of a segment [lo, hi]
 hold one byte per odd integer in it: flag i stands for (lo | 1) + 2i, and the
 odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
-prime 2 itself.
+prime 2 itself. A segment starts as a copy of a small pattern with the odd
+multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place,
+into a `PiTable` growth or a span counter's one reused buffer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ INT64_MAX = (1 << 63) - 1
 
 _BLOCK = 1 << 16  # integers per PiTable block, which holds the flags of its 2^15 odd ones
 _SELECT_WINDOW = 1 << 11  # odd flags PiTable.nth reads around its estimate within a block
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck from every segment by one pattern copy
+_WHEEL = 3 * 5 * 7 * 11 * 13  # odd flags per period of that pattern, 30030 integers
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
 # A PiTable holds one byte of flags per odd integer in [0, limit], half a byte
 # per integer; refuse to grow beyond the integers the default budget needs.
@@ -69,9 +73,10 @@ def build_basis(limit: int) -> PrimeBasis:
 def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, sieved from the primes up to isqrt(limit)."""
     seed = _primes_upto(math.isqrt(limit)) if limit >= 4 else np.zeros(0, dtype=np.int64)
-    primes = [(lo | 1) + 2 * np.flatnonzero(f) for lo, f in _segments(0, limit, seed)]
-    if limit >= 2:
-        primes.insert(0, np.array([2], dtype=np.int64))
+    primes = [np.array([2], dtype=np.int64)] if limit >= 2 else []
+    for lo in range(0, limit + 1, DEFAULT_SEGMENT_SIZE):
+        flags = _segment_flags(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, limit), seed)
+        primes.append((lo | 1) + 2 * np.flatnonzero(flags))
     return np.concatenate(primes)
 
 
@@ -142,26 +147,51 @@ class Interval:
         return a <= x <= b
 
 
-def _segment_flags(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Prime flags for the odd integers in [lo, hi]: flag i stands for (lo | 1) + 2i.
-
-    `primes` are the base primes in order from 2. The prime 2 marks nothing;
-    each odd p strikes its odd multiples from max(p^2, lo) on, p flags apart.
-    """
-    base = lo // 2
-    flags = np.ones((hi + 1) // 2 - base, dtype=bool)
-    if lo < 2:
-        flags[:1] = False  # the integer 1
-    cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
-    for p in primes[1:cut].tolist():
-        start = max(p * p, (-(-lo // p) | 1) * p)
-        flags[start // 2 - base :: p] = False
+def _wheel_pattern() -> np.ndarray:
+    """Two periods of odd flags from 1 on, with the odd multiples of 3, 5, 7, 11 and 13 struck."""
+    flags = np.ones(2 * _WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        flags[p // 2 :: p] = False  # flag i stands for 2i + 1
     return flags
 
 
-def _segments(a: int, b: int, primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE):
-    """(seg_lo, odd flags) for [a, b] in consecutive pieces of at most `size` integers."""
-    return ((lo, _segment_flags(lo, min(lo + size - 1, b), primes)) for lo in range(a, b + 1, size))
+_WHEEL_FLAGS = _wheel_pattern()
+
+
+def _segment_flags(
+    lo: int, hi: int, primes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Prime flags for the odd integers in [lo, hi]: flag i stands for (lo | 1) + 2i.
+
+    `primes` are the base primes in order from 2, up to at least isqrt(hi).
+    The flags start as the wheel pattern, rotated to the segment, so the
+    prime 2 and the wheel primes mark nothing; each larger p strikes its odd
+    multiples from max(p^2, lo) on, p flags apart. With `out`, a contiguous
+    bool array at least as long as the flags, they are written into its
+    head and that view is returned.
+    """
+    base = lo // 2
+    n = (hi + 1) // 2 - base
+    flags = np.empty(n, dtype=bool) if out is None else out[:n]
+    # One broadcast copy of the period starting at odd index `base`, then the tail.
+    rot, m = base % _WHEEL, n // _WHEEL
+    flags[: m * _WHEEL].reshape(m, _WHEEL)[:] = _WHEEL_FLAGS[rot : rot + _WHEEL]
+    flags[m * _WHEEL :] = _WHEEL_FLAGS[rot : rot + n - m * _WHEEL]
+    if lo <= _WHEEL_PRIMES[-1]:
+        for p in _WHEEL_PRIMES:
+            if lo <= p <= hi:
+                flags[p // 2 - base] = True
+        if lo < 2:
+            flags[:1] = False  # the integer 1
+    first = int(np.searchsorted(primes, _WHEEL_PRIMES[-1], side="right"))
+    cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
+    ps = primes[first:cut]
+    # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
+    # lo (less than lo + 2p) stay exact in int64 for every lo it can serve.
+    starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps)
+    for p, at in zip(ps.tolist(), (starts // 2 - base).tolist()):
+        flags[at::p] = False
+    return flags
 
 
 def _count_spans(
@@ -173,8 +203,8 @@ def _count_spans(
     less than a segment apart share a run. `below[x]` counts the odd primes
     up to x among the integers sieved so far, taken with `count_nonzero`
     over the slices between the sorted span ends, so a span is
-    below[b] - below[a - 1], plus 1 for the prime 2 when a <= 2 <= b. At most
-    two segments of flags are alive at once.
+    below[b] - below[a - 1], plus 1 for the prime 2 when a <= 2 <= b. Every
+    segment is sieved into one buffer, as long as the longest segment swept.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
@@ -187,12 +217,16 @@ def _count_spans(
     cuts = sorted({x for a, b in spans if a <= b for x in (a - 1, b)})
     below: dict[int, int] = {}
     running = k = 0
+    # A segment of w integers holds at most w // 2 + 1 odd ones.
+    buf = np.empty(min(size, max((b - a + 1 for a, b in runs), default=0)) // 2 + 1, dtype=bool)
     for lo, hi in runs:
         if cuts[k] < lo:  # a - 1 for a span that starts the run
             below[cuts[k]] = running
             k += 1
-        for seg_lo, flags in _segments(lo, hi, primes, size):
-            pos, seg_end = 0, min(seg_lo + size, hi + 1)
+        for seg_lo in range(lo, hi + 1, size):
+            seg_end = min(seg_lo + size, hi + 1)
+            flags = _segment_flags(seg_lo, seg_end - 1, primes, buf)
+            pos = 0
             while k < len(cuts) and cuts[k] < seg_end:
                 end = (cuts[k] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
                 running += int(np.count_nonzero(flags[pos:end]))
@@ -309,10 +343,10 @@ class PiTable:
             # One array per growth, not per segment: new tables reuse freed memory.
             lo, half = full * _BLOCK, _BLOCK // 2
             flags = np.empty((new_limit + 1) // 2 - lo // 2, dtype=bool)
-            for seg_lo, seg in _segments(lo, new_limit, primes):
-                at = (seg_lo - lo) // 2  # segments start at even integers
-                flags[at : at + len(seg)] = seg
-                del seg  # free it before the next segment is sieved
+            for seg_lo in range(lo, new_limit + 1, DEFAULT_SEGMENT_SIZE):
+                seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, new_limit)
+                # Segments start at even integers, so each is sieved in place.
+                _segment_flags(seg_lo, seg_hi, primes, flags[(seg_lo - lo) // 2 :])
             # Count blocks by integers: a limit of j * _BLOCK gives block j no odd flag.
             blocks = range(new_limit // _BLOCK + 1 - full)
             fresh = [flags[k * half : (k + 1) * half] for k in blocks]

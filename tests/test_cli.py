@@ -4,6 +4,7 @@ import time
 import pytest
 
 from prime_gauge.cli import main
+from prime_gauge.sieve import _TABLE_CAP
 
 
 def run(capsys, *argv):
@@ -164,6 +165,7 @@ class TestExitCodes:
             ("threshold", "--k", "1000", "--scan-limit", str(10**7)),
             ("pnt-ratio", "--n", str(10**18), "--budget", str(10**19)),
             ("ubcount", "--n", str(10**17), "--k", "10", "--budget", str(10**19)),
+            ("nth-bound", "--n", "105097566", "--budget", str(10**19)),
         ],
     )
     def test_far_beyond_memory_fails_fast(self, capsys, argv):
@@ -174,6 +176,9 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+        if argv[0] == "nth-bound":
+            # p_n is about 2.15 * 10^9, far inside the budget: the table cap refuses it.
+            assert f"above the cap {_TABLE_CAP}" in err
 
     def test_unverified_nth_bound_is_budget_error(self, capsys):
         # p_100000 = 1299709 lies beyond the budget, so the bound cannot be checked.

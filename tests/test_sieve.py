@@ -404,6 +404,17 @@ class TestPiTable:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_growth_sieves_in_place(self):
+        # 2^21 + 1 bytes of flags for [0, 2^22]; each segment is sieved straight
+        # into them, with no segment-sized temporary beside them.
+        tracemalloc.start()
+        try:
+            assert PiTable(budget=2**22).pi(2**22) == 295_947
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21 + 2**18
+
     def test_checkpoints(self):
         table = PiTable(budget=10**6, checkpoint_stride=100_000)
         pi(10**6, table)
@@ -579,6 +590,44 @@ def test_prime_two_in_small_spans_and_budgets(oracle_100k):
         table = PiTable(budget=b)
         assert table.pi(b) == oracle_100k.pi(b)
         assert table.nth(table.pi(b)) == max(p for p in range(b + 1) if trial_is_prime(p))
+
+
+def plain_sieve(n: int) -> np.ndarray:
+    """Prime flags for every integer in [0, n], one byte each."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+PLAIN = plain_sieve(200_000)
+WHEEL_SPAN = 30_030  # integers per period of the kernel's pre-sieved pattern
+
+
+class TestSegmentFlags:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.integers(0, 40)
+        | st.integers(0, 130_000)
+        | st.integers(1, 4).flatmap(lambda k: st.integers(-40, 40).map(lambda d: k * WHEEL_SPAN + d)),
+        width=st.integers(0, 70_000) | st.integers(WHEEL_SPAN - 40, WHEEL_SPAN + 40),
+        extra=st.integers(0, 300),
+        spare=st.none() | st.integers(0, 5000),
+    )
+    def test_matches_plain_sieve(self, lo, width, extra, spare):
+        # Windows from 0, short and long, across the wheel period, each with a
+        # basis at least up to isqrt(hi), written fresh or into a longer `out`.
+        hi = lo + width
+        primes = build_basis(max(2, math.isqrt(hi) + extra)).primes
+        want = PLAIN[lo | 1 : hi + 1 : 2]
+        out = None if spare is None else np.ones(len(want) + spare, dtype=bool)
+        got = sieve._segment_flags(lo, hi, primes, out)
+        assert np.array_equal(got, want)
+        if out is not None:
+            assert np.array_equal(out[: len(want)], want)
+            assert out[len(want) :].all()  # nothing past the segment is touched
 
 
 SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
