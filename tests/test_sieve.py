@@ -611,7 +611,7 @@ class TestSegmentFlags:
     @given(
         lo=st.integers(0, 40)
         | st.integers(0, 130_000)
-        | st.integers(1, 4).flatmap(lambda k: st.integers(-40, 40).map(lambda d: k * WHEEL_SPAN + d)),
+        | st.builds(lambda k, d: k * WHEEL_SPAN + d, st.integers(1, 4), st.integers(-40, 40)),
         width=st.integers(0, 70_000) | st.integers(WHEEL_SPAN - 40, WHEEL_SPAN + 40),
         extra=st.integers(0, 300),
         spare=st.none() | st.integers(0, 5000),
