@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
 from .scan_report import THRESHOLD_COLUMNS, TableSpec, emit, reproduce_table, run_scan
@@ -24,20 +22,22 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-
-@dataclass(frozen=True)
-class Config:
-    budget: int
-    threads: int
-    fmt: str
-    out: str | None
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=None, help="sieve budget (max reachable integer)")
-    sub.add_argument("--threads", type=int, default=None, help="accepted but has no effect")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+# Each single-point subcommand: name -> (help, `RULES` rule, option names).
+# Every option is a required `--<name>` integer and a key of the one grid
+# point, except the flags, which enter the point as 0 or 1.
+POINT_COMMANDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "leg": ("count primes strictly between n^2 and (n+1)^2", "improved_legendre", ("n",)),
+    "bounds": ("leg(n) with its derived and conjectured bounds", "conj_bounds", ("n",)),
+    "count": ("count primes strictly between n and kn", "count", ("n", "k")),
+    "brocard": ("count primes between squares of consecutive primes", "brocard", ("i", "decompose")),
+    "nth-bound": ("upper bound 2^a (n-a) on the n-th prime", "nth_prime_bound", ("n",)),
+    "ubcount": ("check the kn/9 + k^2 bound for one (n, k)", "conj4", ("n", "k")),
+    "crossover": ("where kn/9 + k^2 drops below the interval size", "conj4_crossover", ("k",)),
+    "rosser": ("check n/ln n <= pi(n) <= 1.25 n/ln n", "rosser", ("n",)),
+    "nagura": ("check for a prime in [n, 6n/5]", "nagura", ("n",)),
+    "pnt-ratio": ("count in (n, 2n) relative to n/ln n", "pnt_ratio", ("n",)),
+}
+FLAGS = frozenset({"decompose"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,49 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sub(name: str, help_text: str) -> argparse.ArgumentParser:
         s = subs.add_parser(name, help=help_text)
-        _add_common(s)
+        s.add_argument("--budget", type=int, default=None, help="sieve budget (max reachable integer)")
+        s.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        s.add_argument("--out", default=None, help="output path (default: stdout)")
         return s
 
-    s = sub("leg", "count primes strictly between n^2 and (n+1)^2")
-    s.add_argument("--n", type=int, required=True)
+    for name, (help_text, _, options) in POINT_COMMANDS.items():
+        s = sub(name, help_text)
+        for option in options:
+            if option in FLAGS:
+                s.add_argument(f"--{option}", action="store_true")
+            else:
+                s.add_argument(f"--{option}", type=int, required=True)
 
     s = sub("leg-scan", "scan a range of n for the at-least-2-primes property")
     s.add_argument("--from", dest="start", type=int, required=True)
     s.add_argument("--to", dest="stop", type=int, required=True)
 
-    s = sub("bounds", "leg(n) with its derived and conjectured bounds")
-    s.add_argument("--n", type=int, required=True)
-
-    s = sub("count", "count primes strictly between n and kn")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-
     s = sub("threshold", "search the smallest n from which (n, kn) holds k-1 primes")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--scan-limit", type=int, default=10000)
-
-    s = sub("brocard", "count primes between squares of consecutive primes")
-    s.add_argument("--i", type=int, required=True)
-    s.add_argument("--decompose", action="store_true")
-
-    s = sub("nth-bound", "upper bound 2^a (n-a) on the n-th prime")
-    s.add_argument("--n", type=int, required=True)
-
-    s = sub("ubcount", "check the kn/9 + k^2 bound for one (n, k)")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, required=True)
-
-    s = sub("crossover", "where kn/9 + k^2 drops below the interval size")
-    s.add_argument("--k", type=int, required=True)
-
-    s = sub("rosser", "check n/ln n <= pi(n) <= 1.25 n/ln n")
-    s.add_argument("--n", type=int, required=True)
-
-    s = sub("nagura", "check for a prime in [n, 6n/5]")
-    s.add_argument("--n", type=int, required=True)
-
-    s = sub("pnt-ratio", "count in (n, 2n) relative to n/ln n")
-    s.add_argument("--n", type=int, required=True)
 
     s = sub("table", "reproduce one of the five published tables")
     s.add_argument("--id", type=int, required=True, choices=range(1, 6))
@@ -99,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> Config:
+def _resolve_budget(args: argparse.Namespace) -> int:
     budget = args.budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
@@ -112,50 +89,29 @@ def _resolve_config(args: argparse.Namespace) -> Config:
         budget = DEFAULT_BUDGET
     if budget < MIN_BUDGET:
         raise UsageError(f"budget must be at least {MIN_BUDGET}, got {budget}")
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if threads < 1:
-        raise UsageError(f"threads must be positive, got {threads}")
-    return Config(budget=budget, threads=threads, fmt=args.fmt, out=args.out)
+    return budget
 
 
-def _scan(rule: str, grid: Callable[[argparse.Namespace], list[dict[str, int]]]):
-    """A subcommand that prints one registry rule's records over a grid built from its arguments."""
+def _dispatch(args: argparse.Namespace, budget: int) -> tuple:
+    """The subcommand's payload and the records that carry its verdict, (payload, records).
 
-    def run(args: argparse.Namespace, cfg: Config):
-        points = grid(args)
-        if not points:
-            raise UsageError(f"the {rule} scan has an empty grid; a scan of nothing cannot pass")
-        records = run_scan(rule, points, budget=cfg.budget, threads=cfg.threads)
-        return records, all(rec.passed for rec in records)
-
-    return run
-
-
-def _threshold(args: argparse.Namespace, cfg: Config):
-    grid = [{"k": args.k, "scan_limit": args.scan_limit}]
-    records = run_scan("threshold", grid, budget=cfg.budget, threads=cfg.threads)
-    return TableSpec(0, "threshold", grid, THRESHOLD_COLUMNS).tabulate(records), records[0].passed
-
-
-# Subcommand -> how it builds its payload and verdict, (payload, all_passed).
-COMMANDS: dict[str, Callable[[argparse.Namespace, Config], tuple]] = {
-    "leg": _scan("improved_legendre", lambda a: [{"n": a.n}]),
-    "leg-scan": _scan(
-        "improved_legendre", lambda a: [{"n": n} for n in range(a.start, a.stop + 1)]
-    ),
-    "bounds": _scan("conj_bounds", lambda a: [{"n": a.n}]),
-    "count": _scan("count", lambda a: [{"n": a.n, "k": a.k}]),
-    "threshold": _threshold,
-    "brocard": _scan("brocard", lambda a: [{"i": a.i, "decompose": int(a.decompose)}]),
-    "nth-bound": _scan("nth_prime_bound", lambda a: [{"n": a.n}]),
-    "ubcount": _scan("conj4", lambda a: [{"n": a.n, "k": a.k}]),
-    "crossover": _scan("conj4_crossover", lambda a: [{"k": a.k}]),
-    "rosser": _scan("rosser", lambda a: [{"n": a.n}]),
-    "nagura": _scan("nagura", lambda a: [{"n": a.n}]),
-    "pnt-ratio": _scan("pnt_ratio", lambda a: [{"n": a.n}]),
-    # A reproduced table is not a check, so it always passes.
-    "table": lambda a, cfg: (reproduce_table(a.id, budget=cfg.budget, threads=cfg.threads), True),
-}
+    A reproduced table is not a check, so it has no records and always passes.
+    """
+    if args.command == "table":
+        return reproduce_table(args.id, budget=budget), []
+    if args.command == "threshold":
+        grid = [{"k": args.k, "scan_limit": args.scan_limit}]
+        records = run_scan("threshold", grid, budget=budget)
+        return TableSpec(0, "threshold", grid, THRESHOLD_COLUMNS).tabulate(records), records
+    if args.command == "leg-scan":
+        grid = [{"n": n} for n in range(args.start, args.stop + 1)]
+        if not grid:
+            raise UsageError("the improved_legendre scan has an empty grid; a scan of nothing cannot pass")
+        records = run_scan("improved_legendre", grid, budget=budget)
+        return records, records
+    _, rule, options = POINT_COMMANDS[args.command]
+    records = run_scan(rule, [{o: int(getattr(args, o)) for o in options}], budget=budget)
+    return records, records
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -165,17 +121,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve_config(args)
-        payload, all_passed = COMMANDS[args.command](args, cfg)
-        emit(payload, cfg.fmt, cfg.out if cfg.out is not None else sys.stdout)
-        if not all_passed:
-            failing = []
-            if isinstance(payload, list):
-                failing = [rec.to_flat() for rec in payload if not rec.passed]
-            for row in failing:
-                print(f"violation: {row}", file=sys.stderr)
-            return EXIT_VIOLATION
-        return EXIT_OK
+        payload, records = _dispatch(args, _resolve_budget(args))
+        emit(payload, args.fmt, args.out if args.out is not None else sys.stdout)
+        failing = [rec.to_flat() for rec in records if not rec.passed]
+        for row in failing:
+            print(f"violation: {row}", file=sys.stderr)
+        return EXIT_VIOLATION if failing else EXIT_OK
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

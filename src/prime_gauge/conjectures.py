@@ -14,9 +14,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, RangeOverflowError
 from .sieve import (
     DEFAULT_BUDGET,
+    INT64_MAX,
     Interval,
     PiTable,
     PrimeBasis,
@@ -275,6 +276,9 @@ def nth_prime_bound(n: int, table: PiTable) -> NthPrimeBound:
     """
     if n < 3:
         raise DomainError(f"the bound solver needs n >= 3, got {n}")
+    if n > INT64_MAX:
+        # The bound exceeds n, and the float solver below would overflow first.
+        raise RangeOverflowError(f"{n} exceeds the supported 64-bit range")
     alpha = None
     x = 1
     while n - x >= 1:
@@ -310,7 +314,10 @@ def conj4_crossover(k: int) -> float:
     """(9k^2 - 9)/(8k - 9): where kn/9 + k^2 drops below the interval size."""
     if 8 * k <= 9:
         raise DomainError(f"the crossover needs 8k > 9, got k = {k}")
-    return (9 * k * k - 9) / (8 * k - 9)
+    try:
+        return (9 * k * k - 9) / (8 * k - 9)
+    except OverflowError:
+        raise RangeOverflowError(f"the crossover for k = {k} exceeds the float range") from None
 
 
 def pnt_ratio(n: int, table: PiTable) -> float:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
 
-from .errors import BudgetError, DomainError, UsageError
+from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
 from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
 from .conjectures import (
     brocard_count,
@@ -26,14 +27,18 @@ from .conjectures import (
 )
 
 
+# Enough digits to write any finite float (309 before the point) with 2 after it.
+_FLOAT_DIGITS = Context(prec=311)
+
+
 def round1(x: float) -> str:
     """Format to 1 decimal, rounding half away from zero."""
-    return str(Decimal(repr(x)).quantize(Decimal("0.1"), ROUND_HALF_UP))
+    return str(Decimal(repr(x)).quantize(Decimal("0.1"), ROUND_HALF_UP, _FLOAT_DIGITS))
 
 
 def trunc2(x: float) -> str:
     """Format to 2 decimals, truncating toward zero."""
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_DOWN))
+    return str(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_DOWN, _FLOAT_DIGITS))
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,8 @@ def _rule_brocard(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord
 def _rule_conj4_crossover(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     k = point["k"]
     value = conj4_crossover(k)
+    if 2 * k > sys.float_info.max:
+        raise RangeOverflowError(f"2k = {2 * k} exceeds the float range")
     return [ScanRecord("conj4_crossover", {"k": k}, value, {"two_k": float(2 * k)}, True)]
 
 
@@ -257,17 +264,9 @@ def _evaluate(
 
 
 def run_scan(
-    rule: str,
-    input_grid: Iterable[Mapping[str, int]],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    rule: str, input_grid: Iterable[Mapping[str, int]], *, budget: int = DEFAULT_BUDGET
 ) -> list[ScanRecord]:
-    """Records for every grid point, in input order; failures are collected.
-
-    `threads` is accepted for compatibility and has no effect: the scan runs
-    in the calling thread.
-    """
+    """Records for every grid point, in input order; failures are collected."""
     if rule not in RULES:
         raise UsageError(f"unknown scan rule {rule!r}; known: {', '.join(sorted(RULES))}")
     return _evaluate(rule, [dict(p) for p in input_grid], budget)
@@ -440,16 +439,8 @@ THRESHOLD_COLUMNS = [
 ]
 
 
-def reproduce_table(
-    table_id: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> RenderedTable:
-    """Recompute one of the five published tables from scratch.
-
-    `threads` is accepted for compatibility and has no effect.
-    """
+def reproduce_table(table_id: int, *, budget: int = DEFAULT_BUDGET) -> RenderedTable:
+    """Recompute one of the five published tables from scratch."""
     spec = TABLE_SPECS.get(table_id)
     if spec is None:
         raise UsageError(f"unknown table id {table_id}; expected 1..5")

@@ -260,8 +260,11 @@ def _dusart_floor(i: int) -> float:
 
     Dusart (1999): p_i > i (ln i + ln ln i - 1) for i >= 2. The slack (1e-9
     relative, 1 absolute) keeps float rounding from rejecting a prime that
-    lies within a budget.
+    lies within a budget. An index past int64 names a prime past it too, and
+    is refused before the float arithmetic overflows.
     """
+    if i > INT64_MAX:
+        raise RangeOverflowError(f"prime index {i} exceeds the supported 64-bit range")
     return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
@@ -439,8 +442,8 @@ def pi_at_points(
     """pi at every requested point, from one segmented sweep of [0, max(points)].
 
     The sweep costs one sieve up to the largest point however many points
-    are asked for; each point is the count of the span [0, x]. It holds one
-    or two segments of flags at a time and nothing afterwards.
+    are asked for; each point is the count of the span [0, x]. It holds the
+    span counter's one reused segment buffer and nothing afterwards.
     """
     pts = sorted({int(x) for x in points})
     if not pts:

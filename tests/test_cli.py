@@ -66,6 +66,12 @@ class TestSubcommands:
         assert code == 0
         assert "3.9" in out  # 27/7 rounded to one decimal
 
+    def test_crossover_past_decimal_precision(self, capsys):
+        # The CSV cell has more digits than the default decimal context holds.
+        code, out, _ = run(capsys, "crossover", "--k", str(10**30))
+        assert code == 0
+        assert f",{9 * 10**30 // 8}.0,{2 * 10**30}.0,true" in out
+
     def test_rosser_nagura_pnt(self, capsys):
         assert run(capsys, "rosser", "--n", "100")[0] == 0
         assert run(capsys, "nagura", "--n", "26")[0] == 0
@@ -91,6 +97,9 @@ class TestExitCodes:
 
     def test_usage_error_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_threads_flag_is_gone(self, capsys):
+        assert run(capsys, "leg", "--n", "10", "--threads", "2")[0] == 2
 
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "rosser", "--n", "10")
@@ -196,6 +205,21 @@ class TestExitCodes:
     def test_overflow_error(self, capsys):
         code, _, _ = run(capsys, "count", "--n", str(2**61), "--k", "5")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("crossover", "--k", str(10**400)),
+            ("nth-bound", "--n", str(10**400)),
+            ("brocard", "--i", str(10**400)),
+        ],
+    )
+    def test_past_float_range(self, capsys, argv):
+        # Past the float range; an OverflowError would exit 1, which reads as a violation.
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_budget_floor(self, capsys):
         assert run(capsys, "leg", "--n", "5", "--budget", "100")[0] == 2

@@ -497,6 +497,10 @@ class TestNthPrime:
         with pytest.raises(DomainError):
             nth_prime(0, table_2m)
 
+    def test_index_past_int64(self):
+        with pytest.raises(RangeOverflowError):
+            PiTable().nth(10**400)
+
     @pytest.mark.parametrize("budget,i", [(1 << 25, 2_200_000), (10**7, 10**6)])
     def test_budget_error_before_sieving(self, budget, i):
         # Dusart's lower bound on p_i already exceeds the budget.
