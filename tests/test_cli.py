@@ -210,6 +210,7 @@ class TestExitCodes:
         "argv",
         [
             ("crossover", "--k", str(10**400)),
+            ("crossover", "--k", str(10**308)),  # the crossover fits a float, 2k does not
             ("nth-bound", "--n", str(10**400)),
             ("brocard", "--i", str(10**400)),
         ],
