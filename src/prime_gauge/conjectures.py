@@ -200,8 +200,9 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
     The table grows to k * scan_limit first, so a scan beyond its cap is
     refused before any sieving. The scan then takes the n in chunks of 2^16
     and counts each chunk's intervals with two batched pi queries,
-    pi(kn) - pi(n - 1). Beyond the table it holds a few int64 arrays of one
-    chunk's points and the prime offsets of one block.
+    pi(kn) - pi(n - 1). Beyond the table's packed bits it holds a few int64
+    arrays of one chunk's points and the cumulative bit counts of one
+    block's 4 KB.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")

@@ -2,21 +2,24 @@
 
 One segment kernel, walked over an interval piece by piece, gives the prime
 flags behind everything that sieves: the base primes, `PiTable` (pi(x) and
-n-th-prime queries over appended blocks of flags, each with the count of
-primes below it) and one span counter, which counts the primes in many
-intervals at once behind `count_primes`, `pi_at_points` and `leg_many`.
+n-th-prime queries over appended blocks of packed bits, with the count of
+primes below every 2^10 integers) and one span counter, which counts the
+primes in many intervals at once behind `count_primes`, `pi_at_points` and
+`leg_many`.
 
 The kernel stores and marks odd integers only. The flags of a segment [lo, hi]
 hold one byte per odd integer in it: flag i stands for (lo | 1) + 2i, and the
 odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
 prime 2 itself. A segment starts as a copy of a small pattern with the odd
-multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place,
-into a `PiTable` growth or a span counter's one reused buffer.
+multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place into
+one reused buffer: a span counter counts it there, and a `PiTable` growth
+packs it to one bit per odd integer, 1/16 byte per integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterable
@@ -30,14 +33,17 @@ DEFAULT_SEGMENT_SIZE = 1 << 21  # integers, so 1 MB of odd flags
 DEFAULT_CHECKPOINT_STRIDE = 1 << 24  # the most a PiTable growth sieves beyond its query
 INT64_MAX = (1 << 63) - 1
 
-_BLOCK = 1 << 16  # integers per PiTable block, which holds the flags of its 2^15 odd ones
-_SELECT_WINDOW = 1 << 11  # odd flags PiTable.nth reads around its estimate within a block
+_BLOCK = 1 << 16  # integers per PiTable block: 2^15 odd ones, 4 KB of packed bits
+_SUB = 1 << 10  # integers per PiTable sub-block: 2^9 odd ones, 64 bytes, 8 uint64 words
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck from every segment by one pattern copy
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd flags per period of that pattern, 30030 integers
 _BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
-# A PiTable holds one byte of flags per odd integer in [0, limit], half a byte
-# per integer; refuse to grow beyond the integers the default budget needs.
+# A PiTable holds one bit per odd integer in [0, limit] and 8 bytes of count per
+# 2^10 integers; refuse to grow beyond the integers the default budget needs.
 _TABLE_CAP = DEFAULT_BUDGET + 1
+# pi(2^31), published (OEIS A007053): a prime index past it names a prime past
+# [0, 2^31], the most a table may sieve, known without sieving.
+_PI_2_31 = 105_097_565
 
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -268,36 +274,39 @@ def _dusart_floor(i: int) -> float:
     return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
-def _select(flags: np.ndarray, r: int, count: int) -> int:
-    """Offset of the r-th set flag (from 1) of a block holding `count` set flags.
+def _nth_bit(word: int, r: int) -> int:
+    """Position of the r-th set bit (from 1) of `word`, a sub-block of at most 2^9 bits.
 
-    Primes spread nearly evenly over a block, so the r-th lies near r / count
-    of the way in: count the flags before a window around that point and
-    look inside the window. Only when the flag falls outside it is the whole
-    block read.
+    A binary search on the bit count of prefixes: the bits below `lo` hold
+    fewer than r set bits, the bits below `hi` at least r.
     """
-    lo = max(0, r * len(flags) // count - _SELECT_WINDOW // 2)
-    need = r - int(np.count_nonzero(flags[:lo]))
-    if need >= 1:
-        hits = flags[lo : lo + _SELECT_WINDOW].nonzero()[0]
-        if need <= len(hits):
-            return lo + int(hits[need - 1])
-    return int(np.flatnonzero(flags)[r - 1])
+    lo, hi = 0, _SUB // 2
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (word & ((1 << mid) - 1)).bit_count() >= r:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class PiTable:
     """Exact pi(x) and n-th-prime queries over a lazily grown sieve.
 
-    The sieved range is kept as blocks of 2^16 integers, each holding the
-    prime flags of its 2^15 odd integers, with `_below[j]`, the prime 2 and
-    the number of odd primes below block j. A query past the sieved limit
-    grows the table to the query, or further when it climbs: a growth at
-    least doubles the limit but adds at most one checkpoint stride beyond
-    it, so after queries up to x the table holds at most
-    min(2x, x + checkpoint_stride) integers, never past the budget, in
-    O(log stride + x / stride) growths. Growth appends blocks under a
-    lock; it builds new lists that keep every published block and count,
-    and publishes the new limit last, so queries need no lock.
+    The sieved range is kept as blocks of 2^16 integers, each holding one
+    bit per odd integer, 4 KB: bit k of byte b of block j stands for
+    j * 2^16 + 16b + 2k + 1. `_below[s]` is the number of primes, the
+    prime 2 among them, below sub-block s, the 2^10 integers from
+    s * 2^10, whose 512 bits are 64 bytes of its block. So a table holds
+    1/16 byte per integer plus 8 bytes of count per 2^10 integers, about
+    134 + 17 MB at its cap, and `pi` and `nth` read one sub-block. A
+    query past the sieved limit grows the table to the query, or further
+    when it climbs: a growth at least doubles the limit but adds at most
+    one checkpoint stride beyond it, so after queries up to x the table
+    holds at most min(2x, x + checkpoint_stride) integers, never past the
+    budget, in O(log stride + x / stride) growths. Growth appends blocks
+    under a lock; it builds new lists that keep every published block and
+    count, and publishes the new limit last, so queries need no lock.
     `checkpoints[j]` is pi(j * checkpoint_stride) for every stride covered
     so far.
     """
@@ -313,8 +322,8 @@ class PiTable:
             raise DomainError(f"checkpoint stride must be positive, got {checkpoint_stride}")
         self.budget = budget
         self.checkpoint_stride = checkpoint_stride
-        self._blocks: list[np.ndarray] = []  # views into one array per growth
-        self._below = np.ones(1, dtype=np.int64)  # _below[j] = pi(max(2, j * _BLOCK - 1))
+        self._blocks: list[np.ndarray] = []  # uint8 views into one array per growth
+        self._below = np.ones(1, dtype=np.int64)  # _below[s] = pi(max(2, s * _SUB - 1))
         self._limit = 0
         self._lock = threading.RLock()
 
@@ -343,36 +352,55 @@ class PiTable:
             new_limit = min(self.budget, _TABLE_CAP - 1, max(x, self._limit + step))
             full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
             primes = _primes_upto(math.isqrt(new_limit))
-            # One array per growth, not per segment: new tables reuse freed memory.
-            lo, half = full * _BLOCK, _BLOCK // 2
-            flags = np.empty((new_limit + 1) // 2 - lo // 2, dtype=bool)
+            lo, first = full * _BLOCK, full * _BLOCK // _SUB
+            # Count sub-blocks by integers: a limit of s * _SUB gives sub-block s no odd bit.
+            subs = new_limit // _SUB + 1 - first
+            # One array of bits per growth, whole sub-blocks of them, zero past the limit.
+            bits = np.zeros(subs * _SUB // 16, dtype=np.uint8)
+            below = np.empty(first + 1 + subs, dtype=np.int64)
+            below[: first + 1] = self._below[: first + 1]
+            buf = np.empty(min(DEFAULT_SEGMENT_SIZE, new_limit + 1 - lo) // 2 + 1, dtype=bool)
             for seg_lo in range(lo, new_limit + 1, DEFAULT_SEGMENT_SIZE):
                 seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, new_limit)
-                # Segments start at even integers, so each is sieved in place.
-                _segment_flags(seg_lo, seg_hi, primes, flags[(seg_lo - lo) // 2 :])
-            # Count blocks by integers: a limit of j * _BLOCK gives block j no odd flag.
-            blocks = range(new_limit // _BLOCK + 1 - full)
-            fresh = [flags[k * half : (k + 1) * half] for k in blocks]
-            counts = np.cumsum([np.count_nonzero(b) for b in fresh], dtype=np.int64)
-            self._blocks = self._blocks[:full] + fresh
-            self._below = np.concatenate((self._below[: full + 1], self._below[full] + counts))
+                flags = _segment_flags(seg_lo, seg_hi, primes, buf)
+                # lo and the segment size are multiples of _SUB: a segment starts a sub-block.
+                s, t = (seg_lo - lo) // _SUB, (seg_hi - lo) // _SUB + 1
+                packed = np.packbits(flags, bitorder="little")
+                at = (seg_lo - lo) // 16  # 16 integers per byte of bits
+                bits[at : at + len(packed)] = packed
+                words = bits[at : t * _SUB // 16].view(np.uint64).reshape(t - s, -1)
+                below[first + 1 + s : first + 1 + t] = np.bitwise_count(words).sum(axis=1)
+            np.cumsum(below[first:], out=below[first:])
+            self._blocks = self._blocks[:full] + [
+                bits[k * _BLOCK // 16 : (k + 1) * _BLOCK // 16]
+                for k in range(new_limit // _BLOCK + 1 - full)
+            ]
+            self._below = below
             self._limit = new_limit
 
+    def _prefix(self, s: int, n: int) -> int:
+        """The first n bits of sub-block s as an int: bit k stands for s * _SUB + 2k + 1."""
+        j, k = divmod(s, _BLOCK // _SUB)
+        at = k * _SUB // 16  # the sub-block's first byte in its block
+        word = int.from_bytes(self._blocks[j][at : at + (n + 7) // 8], "little")
+        return word & ((1 << n) - 1)
+
     def _pi_covered(self, x: int) -> int:
-        """pi(x) for x already inside the sieved region."""
+        """pi(x) for x already inside the sieved region, from at most one sub-block's bytes."""
         if x < 2:
             return 0
-        j = x // _BLOCK
-        odd = (x - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
-        return int(self._below[j]) + int(np.count_nonzero(self._blocks[j][:odd]))
+        s = x // _SUB
+        return int(self._below[s]) + self._prefix(s, (x - s * _SUB + 1) // 2).bit_count()
 
     def _pi_many(self, xs: np.ndarray) -> np.ndarray:
         """pi at each point of an int64 array of points in [0, budget], in the given order.
 
         The table grows once, to the largest point. Points are grouped by
-        block, so each touched block is read once: pi(x) is _below[j] plus
-        the odd primes of block j whose offsets lie below x's. Only one
-        block's prime offsets are alive at a time.
+        block, so each touched block's 4 KB is read once: pi(x) is the
+        count below block j, plus the primes of the bytes of block j below
+        x's byte, from one cumulative bit count per byte, plus those of the
+        bits of x's byte up to x. Only one block's byte counts are alive
+        at a time.
         """
         xs = np.asarray(xs, dtype=np.int64)
         pis = np.zeros(len(xs), dtype=np.int64)
@@ -385,12 +413,18 @@ class PiTable:
         order = np.argsort(js, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
             j = int(js[group[0]])
+            bits = blocks[j]
+            before = np.zeros(len(bits) + 1, dtype=np.int64)  # primes in the first b bytes
+            np.cumsum(np.bitwise_count(bits), out=before[1:])
             odd = (xs[group] - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
-            pis[group] = below[j] + np.searchsorted(np.flatnonzero(blocks[j]), odd)
+            byte, bit = odd // 8, odd % 8  # bit is 0 where byte is past the block
+            partial = bits[np.minimum(byte, len(bits) - 1)] & ((1 << bit) - 1)
+            pis[group] = below[j * _BLOCK // _SUB] + before[byte] + np.bitwise_count(partial)
         pis[xs < 2] = 0
         return pis
 
     def pi(self, x: int) -> int:
+        x = operator.index(x)  # a numpy integer would overflow the mask in _prefix
         if x < 0:
             raise DomainError(f"pi expects a nonnegative argument, got {x}")
         if x > self.budget:
@@ -412,15 +446,22 @@ class PiTable:
             raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
         # Rosser: p_i < i (ln i + ln ln i) for i >= 6.
         est = int(i * (math.log(i) + math.log(math.log(i)))) + 2
-        if est > self.budget:
-            if self.pi(self.budget) < i:
-                raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
-            est = self.budget
+        top = min(self.budget, _TABLE_CAP - 1)  # the largest integer a table may sieve
+        if est > top:
+            # Past the cap, p_i is refused at once when known to lie past it.
+            capped = top < self.budget
+            if capped and (i > _PI_2_31 or _dusart_floor(i) > top) or self.pi(top) < i:
+                where = (
+                    f"past {top}: its pi table would sieve above the cap {_TABLE_CAP}"
+                    if capped
+                    else f"beyond the budget {self.budget}"
+                )
+                raise BudgetError(f"prime #{i} lies {where}")
+            est = top
         self._ensure(est)
         below = self._below
-        j = int(np.searchsorted(below, i, side="left")) - 1
-        r, count = i - int(below[j]), int(below[j + 1] - below[j])
-        return j * _BLOCK + 2 * _select(self._blocks[j], r, count) + 1
+        s = int(np.searchsorted(below, i, side="left")) - 1  # below[s] < i <= below[s + 1]
+        return s * _SUB + 2 * _nth_bit(self._prefix(s, _SUB // 2), i - int(below[s])) + 1
 
 
 def pi(x: int, table: PiTable) -> int:

@@ -238,6 +238,7 @@ class TestPiTable:
         assert pi(0, table_2m) == 0
         assert pi(100, table_2m) == 25
         assert pi(500_000, table_2m) == 41538  # independent full-sieve oracle
+        assert pi(np.int64(500_000), table_2m) == 41538  # 144 bits into its sub-block
 
     def test_against_trial_division(self, table_2m, oracle_100k):
         for x in (1, 2, 3, 17, 1000, 65_535, 65_536, 65_537, 99_991, 100_000):
@@ -318,7 +319,7 @@ class TestPiTable:
         assert checkpoints == [oracle_100k.pi(j * stride) for j in range(len(checkpoints))]
 
     def test_fresh_table_sieves_only_to_the_query(self):
-        # Far below one 2^24 stride: [0, 10^5] and no more, about 50 KB of flags.
+        # Far below one 2^24 stride: [0, 10^5] and no more, about 6 KB of bits.
         table = PiTable(budget=10**8)
         tracemalloc.start()
         try:
@@ -380,7 +381,7 @@ class TestPiTable:
             pi(10**5 + 1, table)
 
     def test_growth_beyond_cap_fails_before_allocating(self):
-        # 10^18 bytes of flags: refused at once instead of a MemoryError traceback.
+        # 6 * 10^16 bytes of bits: refused at once instead of a MemoryError traceback.
         table = PiTable(budget=10**19)
         tracemalloc.start()
         try:
@@ -394,19 +395,20 @@ class TestPiTable:
         assert peak < 2**20 and elapsed < 0.1
         assert table.sieved_limit == 0
 
-    def test_table_holds_half_a_byte_per_integer(self):
-        # Flags for the odd integers only: 2^23 bytes for [0, 2^24], plus one segment.
+    def test_table_holds_a_sixteenth_of_a_byte_per_integer(self):
+        # One bit per odd integer: 2^20 bytes for [0, 2^24] and 2^17 of counts,
+        # plus one segment buffer of 2^20 flags and its 2^17 packed bytes.
         tracemalloc.start()
         try:
             assert PiTable(budget=2**24).pi(2**24) == 1_077_871
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 5 * 2**19
 
     def test_growth_sieves_in_place(self):
-        # 2^21 + 1 bytes of flags for [0, 2^22]; each segment is sieved straight
-        # into them, with no segment-sized temporary beside them.
+        # 2^18 bytes of bits for [0, 2^22] beside one segment buffer of 2^20
+        # flags, which both segments are sieved into and packed from.
         tracemalloc.start()
         try:
             assert PiTable(budget=2**22).pi(2**22) == 295_947
@@ -522,22 +524,60 @@ class TestNthPrime:
         assert table.pi(65_537) == table.pi(65_536) + 1 == 6543
         assert table.nth(6543) == 65_537
 
-    def test_select_every_rank_of_every_block(self):
-        # Block 0, where prime density falls fastest, and a partial last block.
-        table = PiTable(budget=3 * 2**16 + 999)
-        table.pi(table.budget)
-        for j, flags in enumerate(table._blocks):
-            count = int(table._below[j + 1] - table._below[j])
-            ranks = [sieve._select(flags, r, count) for r in range(1, count + 1)]
-            assert ranks == np.flatnonzero(flags).tolist()
+    def test_nth_every_rank_of_every_sub_block(self):
+        # Sub-block 0, where prime density falls fastest, every 2^10-integer
+        # sub-block of three blocks, and a partial last sub-block.
+        budget = 3 * 2**16 + 999
+        table = PiTable(budget=budget)
+        table.pi(budget)
+        assert len(table._below) == budget // 2**10 + 2
+        primes = np.flatnonzero(PLAIN[: budget + 1]).tolist()
+        assert [table.nth(i) for i in range(1, len(primes) + 1)] == primes
+        with pytest.raises(BudgetError):
+            table.nth(len(primes) + 1)
 
-    def test_select_outside_the_window(self):
-        # Set flags bunched at both ends: the estimate lands in the empty
-        # middle, so every rank is found by reading the whole block.
-        flags = np.zeros(2**15, dtype=bool)
-        flags[:40] = flags[-40:] = True
-        ranks = [sieve._select(flags, r, 80) for r in range(1, 81)]
-        assert ranks == np.flatnonzero(flags).tolist()
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (2**40 - 1) | (2**40 - 1) << 472,  # bunched at both ends, empty middle
+            2**512 - 1,
+            1,
+            1 << 511,
+            0b1011 << 255,
+        ],
+        ids=["both_ends", "all_set", "lowest", "highest", "middle"],
+    )
+    def test_nth_bit_of_a_sub_block(self, word):
+        want = [k for k in range(512) if word >> k & 1]
+        assert [sieve._nth_bit(word, r) for r in range(1, len(want) + 1)] == want
+
+    def test_around_every_sub_block_boundary(self):
+        # x within 64 of every multiple of 2^10 up to 2^18, against Miller-Rabin.
+        table = PiTable(budget=2**18 + 64)
+        for k in range(1, 2**8 + 1):
+            x0 = k * 2**10 - 64
+            largest = next(p for p in range(x0 - 1, 1, -1) if is_prime(p))
+            for x in range(x0, x0 + 129):
+                step = table.pi(x) - table.pi(x - 1)
+                assert step == int(is_prime(x))
+                largest = x if step else largest
+                assert table.nth(table.pi(x)) == largest
+
+    def test_nth_clamps_to_the_cap(self, monkeypatch):
+        # With the cap at 2^20 + 1 integers and the budget far above it,
+        # Rosser's estimate for p_82025 lies past the cap but the prime does
+        # not, as pi(2^20) = 82025. The next index is refused after one growth
+        # to the cap, and one whose Dusart floor lies past the cap before any.
+        monkeypatch.setattr(sieve, "_TABLE_CAP", 2**20 + 1)
+        table = PiTable(budget=10**19)
+        assert table.nth(82_025) == 1_048_573
+        assert table.sieved_limit == 2**20
+        with pytest.raises(BudgetError, match=f"past {2**20}: .* above the cap {2**20 + 1}"):
+            table.nth(82_026)
+        fresh = PiTable(budget=10**19)
+        with pytest.raises(BudgetError, match=f"above the cap {2**20 + 1}"):
+            fresh.nth(90_000)
+        assert fresh.sieved_limit == 0
 
     def test_budget_edge_uses_exact_path(self):
         # p_2000 = 17389, while Dusart's lower bound is only 17258.

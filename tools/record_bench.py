@@ -3,11 +3,13 @@
 
     python3 tools/record_bench.py
 
-Six runs, one after another, each in its own child process: the Tier-1
+Seven runs, one after another, each in its own child process: the Tier-1
 test suite, `leg-scan --from 1 --to 45000` (acceptance 7a), `table --id 3
 --budget 100000000`, `rosser --n 2000000000`, `leg-scan --from 1 --to
-100000 --budget 10000200000`, whose last interval ends at 100001^2 - 1, and
-`rosser --n 100000`, a single-shot PiTable command far below one stride.
+100000 --budget 10000200000`, whose last interval ends at 100001^2 - 1,
+`rosser --n 100000`, a single-shot PiTable command far below one stride,
+and `nth-bound --n 101000000 --budget 10000000000000000000`, whose prime
+lies just below the PiTable cap while the budget lies far above it.
 For each it stores the exit code, the wall time and the peak RSS of the
 child and its descendants (the rusage that wait4 returns, the figure
 RUSAGE_CHILDREN reports), plus a digest of the CLI's stdout or the suite's
@@ -42,6 +44,8 @@ RUNS = {
     "leg_scan_1_100000": CLI
     + ["leg-scan", "--from", "1", "--to", "100000", "--budget", "10000200000"],
     "rosser_1e5": CLI + ["rosser", "--n", "100000"],
+    "nth_bound_101e6_budget_1e19": CLI
+    + ["nth-bound", "--n", "101000000", "--budget", "10000000000000000000"],
 }
 
 
