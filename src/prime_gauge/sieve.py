@@ -450,7 +450,7 @@ class PiTable:
         if est > top:
             # Past the cap, p_i is refused at once when known to lie past it.
             capped = top < self.budget
-            if capped and (i > _PI_2_31 or _dusart_floor(i) > top) or self.pi(top) < i:
+            if (capped and (i > _PI_2_31 or _dusart_floor(i) > top)) or self.pi(top) < i:
                 where = (
                     f"past {top}: its pi table would sieve above the cap {_TABLE_CAP}"
                     if capped
