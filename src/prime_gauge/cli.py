@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from .conjectures import leg_range_top
 from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
 from .scan_report import THRESHOLD_COLUMNS, TableSpec, emit, reproduce_table, run_scan
 from .sieve import DEFAULT_BUDGET
@@ -104,9 +105,10 @@ def _dispatch(args: argparse.Namespace, budget: int) -> tuple:
         records = run_scan("threshold", grid, budget=budget)
         return TableSpec(0, "threshold", grid, THRESHOLD_COLUMNS).tabulate(records), records
     if args.command == "leg-scan":
-        grid = [{"n": n} for n in range(args.start, args.stop + 1)]
-        if not grid:
+        if args.start > args.stop:
             raise UsageError("the improved_legendre scan has an empty grid; a scan of nothing cannot pass")
+        leg_range_top(args.start, args.stop, budget=budget)  # refused before the grid is built
+        grid = [{"n": n} for n in range(args.start, args.stop + 1)]
         records = run_scan("improved_legendre", grid, budget=budget)
         return records, records
     _, rule, options = POINT_COMMANDS[args.command]

@@ -21,6 +21,7 @@ from .sieve import (
     Interval,
     PiTable,
     PrimeBasis,
+    _check_basis_limit,
     _checked_mul,
     _count_spans,
     _dusart_floor,
@@ -79,17 +80,30 @@ def leg(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> int:
     return count_primes(Interval.open(n * n, hi), basis, budget=budget)
 
 
+def leg_range_top(first: int, last: int, *, budget: int = DEFAULT_BUDGET) -> int:
+    """(last + 1)^2 - 1, the largest integer leg(n) sieves for first <= n <= last.
+
+    It is refused as `leg_many` refuses it: an n below 1, or a top past the
+    budget or past int64, or one whose base primes, up to isqrt(top) + 1,
+    would pass the basis cap. This costs nothing, so a scan can be refused
+    before anything is built for it.
+    """
+    if first < 1:
+        raise DomainError(f"leg expects a positive integer, got {first}")
+    top = (last + 1) ** 2 - 1
+    if top > budget:
+        raise BudgetError(f"interval end {top} exceeds the sieve budget {budget}")
+    _checked_mul(last + 1, last + 1)
+    _check_basis_limit(math.isqrt(top) + 1)
+    return top
+
+
 def leg_many(ns: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """leg over many n, sieving only the integers strictly between their squares."""
     wanted = sorted({int(n) for n in ns})
     if not wanted:
         return {}
-    if wanted[0] < 1:
-        raise DomainError(f"leg expects a positive integer, got {wanted[0]}")
-    top = (wanted[-1] + 1) ** 2 - 1
-    if top > budget:
-        raise BudgetError(f"interval end {top} exceeds the sieve budget {budget}")
-    _checked_mul(wanted[-1] + 1, wanted[-1] + 1)
+    top = leg_range_top(wanted[0], wanted[-1], budget=budget)
     basis = build_basis(max(2, math.isqrt(top) + 1))
     counts = _count_spans([(n * n + 1, (n + 1) * (n + 1) - 1) for n in wanted], basis.primes)
     return dict(zip(wanted, counts))

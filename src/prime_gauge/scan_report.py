@@ -473,12 +473,40 @@ def _records_header(records: list[ScanRecord]) -> list[str]:
 
 
 def _records_csv(records: list[ScanRecord]) -> str:
+    """One row per record, its cells read straight from the record's fields in header order.
+
+    Each column is a generator over the records, and the rows zip them, so
+    no column is held whole. Each distinct float is formatted once per
+    render, keyed by `repr`, which keeps 0.0 apart from -0.0 and finds nan
+    again.
+    """
     header = _records_header(records)
-    lines = [",".join(header)]
-    for rec in records:
-        flat = rec.to_flat()
-        lines.append(",".join(_format_cell(flat[c]) if c in flat else "" for c in header))
-    return "\n".join(lines) + "\n"
+    inputs = header[1 : header.index("actual")]
+    bounds = [name[len("bound_") :] for name in header[len(inputs) + 2 : -1]]
+    reals: dict[str, str] = {}
+
+    def cell(value) -> str:
+        if type(value) is float:
+            key = repr(value)
+            text = reals.get(key)
+            if text is None:
+                text = reals[key] = round1(value)
+            return text
+        return _format_cell(value)
+
+    def column(field: str, key: str):
+        for rec in records:
+            values = getattr(rec, field)
+            yield cell(values[key]) if key in values else ""
+
+    columns = [
+        (rec.rule for rec in records),
+        *(column("inputs", k) for k in inputs),
+        (cell(rec.actual) for rec in records),
+        *(column("bounds", b) for b in bounds),
+        (_format_cell(rec.passed) for rec in records),
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _records_json(records: list[ScanRecord]) -> str:

@@ -12,8 +12,10 @@ hold one byte per odd integer in it: flag i stands for (lo | 1) + 2i, and the
 odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
 prime 2 itself. A segment starts as a copy of a small pattern with the odd
 multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place into
-one reused buffer: a span counter counts it there, and a `PiTable` growth
-packs it to one bit per odd integer, 1/16 byte per integer.
+one reused buffer. From there both consumers pack it to one bit per odd
+integer: the span counter into uint64 words, whose one cumulative bit count
+answers every interval end in the segment at once, and a `PiTable` growth
+into its blocks, 1/16 byte per integer.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ _TABLE_CAP = DEFAULT_BUDGET + 1
 # [0, 2^31], the most a table may sieve, known without sieving.
 _PI_2_31 = 105_097_565
 
+# _LOW_BITS[b] keeps the b low bits of a uint64 word.
+_LOW_BITS = np.array([(1 << b) - 1 for b in range(64)], dtype=np.uint64)
+
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -68,11 +73,16 @@ class PrimeBasis:
         return len(self.primes)
 
 
-def build_basis(limit: int) -> PrimeBasis:
+def _check_basis_limit(limit: int) -> None:
+    """Refuse a basis limit below 2 or past the allocation cap, before anything is allocated."""
     if limit < 2:
         raise DomainError(f"basis limit must be >= 2, got {limit}")
     if limit > _BASIS_CAP:
         raise BudgetError(f"basis limit {limit} exceeds the allocation cap {_BASIS_CAP}")
+
+
+def build_basis(limit: int) -> PrimeBasis:
+    _check_basis_limit(limit)
     return PrimeBasis(limit=limit, primes=_primes_upto(limit))
 
 
@@ -200,47 +210,74 @@ def _segment_flags(
     return flags
 
 
+def _prefix_counts(buf: np.ndarray, n: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """The set flags among the first e of buf[:n] for each e <= n of `ends`, and among all n.
+
+    The flags are packed once into uint64 words, zeroed past n to a whole
+    word and at least one bit beyond, so even e = n names a word. One
+    cumulative bit count over the words answers every e at once: the words
+    before e's word, plus that word's bits below e. Its arrays are freed on
+    return, before the next segment packs.
+    """
+    m = (n // 64 + 1) * 64
+    buf[n:m] = False
+    words = np.packbits(buf[:m], bitorder="little").view(np.uint64)
+    before = np.zeros(len(words) + 1, dtype=np.int64)  # set flags in the first w words
+    np.cumsum(np.bitwise_count(words), out=before[1:])
+    word, bit = np.divmod(ends, 64)
+    return before[word] + np.bitwise_count(words[word] & _LOW_BITS[bit]), int(before[-1])
+
+
 def _count_spans(
     spans: list[tuple[int, int]], primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE
 ) -> list[int]:
     """The number of primes in each inclusive span [a, b] of nonnegative integers, 0 where a > b.
 
     Only runs that cover the spans are sieved, one segment at a time; spans
-    less than a segment apart share a run. `below[x]` counts the odd primes
-    up to x among the integers sieved so far, taken with `count_nonzero`
-    over the slices between the sorted span ends, so a span is
-    below[b] - below[a - 1], plus 1 for the prime 2 when a <= 2 <= b. Every
-    segment is sieved into one buffer, as long as the longest segment swept.
+    less than a segment apart share a run. The cuts are the sorted span
+    ends a - 1 and b, and `below[j]` counts the odd primes up to cuts[j]
+    among the integers sieved so far, and the prime 2 once cuts[j] >= 2, so
+    a span is below[b] - below[a - 1]. Each segment's cuts are counted at
+    once by `_prefix_counts`, from one packed copy of its flags. Every
+    segment is sieved into one buffer, as long as the longest segment
+    swept, rounded up past it to whole words.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
+    live = [s for s in spans if s[0] <= s[1]]
+    if not live:
+        return [0] * len(spans)
+    ends = np.array([a for a, _ in live] + [b for _, b in live], dtype=np.int64)
+    ends[: len(live)] -= 1  # each span's cut a - 1, then each span's cut b
+    # Runs: in order of a, a span more than a segment past every earlier end starts one.
     runs: list[list[int]] = []
-    for a, b in sorted(s for s in spans if s[0] <= s[1]):
+    for a, b in sorted(live):
         if runs and a <= runs[-1][1] + size:
             runs[-1][1] = max(runs[-1][1], b)
         else:
             runs.append([a, b])
-    cuts = sorted({x for a, b in spans if a <= b for x in (a - 1, b)})
-    below: dict[int, int] = {}
+    cuts = np.sort(ends)  # a repeated cut is counted once per copy
+    below = np.empty(len(cuts), dtype=np.int64)
     running = k = 0
-    # A segment of w integers holds at most w // 2 + 1 odd ones.
-    buf = np.empty(min(size, max((b - a + 1 for a, b in runs), default=0)) // 2 + 1, dtype=bool)
+    # A segment of w integers holds at most w // 2 + 1 odd ones; a word past them stays zero.
+    most = min(size, max(b - a + 1 for a, b in runs)) // 2 + 1
+    buf = np.empty((most // 64 + 1) * 64, dtype=bool)
     for lo, hi in runs:
-        if cuts[k] < lo:  # a - 1 for a span that starts the run
-            below[cuts[k]] = running
-            k += 1
         for seg_lo in range(lo, hi + 1, size):
             seg_end = min(seg_lo + size, hi + 1)
-            flags = _segment_flags(seg_lo, seg_end - 1, primes, buf)
-            pos = 0
-            while k < len(cuts) and cuts[k] < seg_end:
-                end = (cuts[k] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
-                running += int(np.count_nonzero(flags[pos:end]))
-                below[cuts[k]] = running
-                pos = end
-                k += 1
-            running += int(np.count_nonzero(flags[pos:]))
-    return [below[b] - below[a - 1] + (a <= 2 <= b) if a <= b else 0 for a, b in spans]
+            n = len(_segment_flags(seg_lo, seg_end - 1, primes, buf))
+            # The cuts up to the segment's end; the first segment of a run also
+            # takes a - 1 for a span that starts the run, which counts nothing.
+            j = int(np.searchsorted(cuts, seg_end))
+            odd = (cuts[k:j] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
+            counted, total = _prefix_counts(buf, n, odd)
+            below[k:j] = running + counted
+            running += total
+            k = j
+    below[int(np.searchsorted(cuts, 2)) :] += 1  # the prime 2, up to every cut from 2 on
+    at = below[np.searchsorted(cuts, ends)]
+    got = iter((at[len(live) :] - at[: len(live)]).tolist())
+    return [next(got) if a <= b else 0 for a, b in spans]
 
 
 def count_primes(

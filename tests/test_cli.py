@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from prime_gauge import BudgetError, DomainError, cli, sieve
 from prime_gauge.cli import main
+from prime_gauge.conjectures import leg_many
 from prime_gauge.sieve import _TABLE_CAP
 
 
@@ -175,6 +177,7 @@ class TestExitCodes:
             ("pnt-ratio", "--n", str(10**18), "--budget", str(10**19)),
             ("ubcount", "--n", str(10**17), "--k", "10", "--budget", str(10**19)),
             ("nth-bound", "--n", "105097566", "--budget", str(10**19)),
+            ("leg-scan", "--from", "1", "--to", str(10**7)),
         ],
     )
     def test_far_beyond_memory_fails_fast(self, capsys, argv):
@@ -188,6 +191,35 @@ class TestExitCodes:
         if argv[0] == "nth-bound":
             # p_n is about 2.15 * 10^9, far inside the budget: the table cap refuses it.
             assert f"above the cap {_TABLE_CAP}" in err
+
+    @pytest.mark.parametrize(
+        "start,stop,budget,cap,error,code",
+        [
+            (1, 200, 40_000, None, BudgetError, 3),
+            (0, 10**7, 10**19, None, DomainError, 2),
+            # Base primes past the basis cap. At the real cap of 2^28 that takes
+            # a grid of 2.7 * 10^8 points, so the cap is lowered to 1000 here.
+            (1, 2000, 10**19, 1000, BudgetError, 3),
+        ],
+    )
+    def test_leg_scan_refused_before_its_grid(
+        self, capsys, monkeypatch, start, stop, budget, cap, error, code
+    ):
+        # A grid of 10^7 points would take gigabytes before leg_many saw it;
+        # the range is refused before the scan starts, in leg_many's own words.
+        if cap is not None:
+            monkeypatch.setattr(sieve, "_BASIS_CAP", cap)
+        with pytest.raises(error) as refused:
+            leg_many([start, stop], budget=budget)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("leg-scan reached its scan")
+
+        monkeypatch.setattr(cli, "run_scan", no_scan)
+        t0 = time.perf_counter()
+        got = run(capsys, "leg-scan", "--from", str(start), "--to", str(stop), "--budget", str(budget))
+        assert time.perf_counter() - t0 < 0.1
+        assert got == (code, "", f"error: {refused.value}\n")
 
     def test_unverified_nth_bound_is_budget_error(self, capsys):
         # p_100000 = 1299709 lies beyond the budget, so the bound cannot be checked.

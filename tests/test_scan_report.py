@@ -3,6 +3,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prime_gauge import (
     BudgetError,
@@ -15,7 +17,7 @@ from prime_gauge import (
     reproduce_table,
     run_scan,
 )
-from prime_gauge.scan_report import ScanRecord, render
+from prime_gauge.scan_report import ScanRecord, _format_cell, _records_header, render
 
 from oracles import TrialPrefix
 
@@ -140,6 +142,61 @@ class TestEmit:
         a = render(reproduce_table(5), "csv")
         b = render(reproduce_table(5), "csv")
         assert a == b
+
+
+NAN = float("nan")
+BIG = "1" + "0" * 300 + ".0"  # 1e300 to one decimal
+# Two rules with different input and bound keys, so some cells are empty; 0.0
+# and -0.0 in both orders; the halves 0.05, 0.15 and 2.25 rounded away from
+# zero; 1e300; nan; ints and bools.
+GOLDEN_RECORDS = [
+    ScanRecord("alpha", {"n": 1, "k": 2}, 0.0, {"lower": -0.0, "upper": 0.05}, True),
+    ScanRecord("alpha", {"n": 3, "k": 0}, -0.0, {"lower": 0.0, "upper": 0.15}, False),
+    ScanRecord("beta", {"i": 7}, 1e300, {"mid": 2.25, "lower": 0.05}, True),
+    ScanRecord("beta", {"i": True}, 12, {"mid": -2.25}, False),
+    ScanRecord("alpha", {"n": 10**20, "k": False}, 2.25, {"upper": -0.15}, True),
+    ScanRecord("beta", {"i": -4}, NAN, {"mid": NAN, "lower": 1e300}, False),
+]
+GOLDEN_CSV = (
+    "rule,n,k,i,actual,bound_lower,bound_upper,bound_mid,pass\n"
+    "alpha,1,2,,0.0,-0.0,0.1,,true\n"
+    "alpha,3,0,,-0.0,0.0,0.2,,false\n"
+    f"beta,,,7,{BIG},0.1,,2.3,true\n"
+    "beta,,,true,12,,,-2.3,false\n"
+    "alpha,100000000000000000000,false,,2.3,,-0.2,,true\n"
+    f"beta,,,-4,NaN,{BIG},,NaN,false\n"
+)
+
+
+def flat_csv(records):
+    """The records' CSV the plain way: a flat dict per record, every cell formatted on its own."""
+    header = _records_header(records)
+    lines = [",".join(header)]
+    for rec in records:
+        flat = rec.to_flat()
+        lines.append(",".join(_format_cell(flat[c]) if c in flat else "" for c in header))
+    return "\n".join(lines) + "\n"
+
+
+CELL = st.integers(-(10**20), 10**20) | st.booleans() | st.floats(allow_infinity=False)
+RECORD = st.builds(
+    ScanRecord,
+    st.sampled_from(["alpha", "beta"]),
+    st.dictionaries(st.sampled_from(["n", "k", "i"]), CELL, max_size=3),
+    CELL,
+    st.dictionaries(st.sampled_from(["lower", "upper", "mid"]), CELL, max_size=3),
+    st.booleans(),
+)
+
+
+class TestRecordsCsv:
+    def test_golden(self):
+        assert render(GOLDEN_RECORDS, "csv") == GOLDEN_CSV
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(RECORD, max_size=8))
+    def test_matches_flat_rows(self, records):
+        assert render(records, "csv") == flat_csv(records)
 
 
 class TestTables:

@@ -676,6 +676,15 @@ class TestSegmentFlags:
 
 SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
 EDGE_SPANS = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2), (2, 1)]
+PLAIN_PI = np.cumsum(PLAIN)  # pi(x) for every x the plain sieve covers
+PLAIN_TOP = len(PLAIN) - 1
+# Segments of 31 to 33, 63 to 65 and 2047 to 2049 odd flags: on and off a 64-flag word edge.
+WORD_EDGE_SIZES = [63, 64, 65, 127, 128, 129, 4095, 4097]
+
+
+def plain_count(a, b):
+    """The primes in [a, b] by the plain sieve, 0 where a > b."""
+    return int(PLAIN_PI[b] - (PLAIN_PI[a - 1] if a else 0)) if a <= b else 0
 
 
 class TestCountSpans:
@@ -691,6 +700,44 @@ class TestCountSpans:
         spans += [spans[i] for i in repeats if i < len(spans)]
         got = _count_spans(spans, build_basis(60).primes, size)
         assert got == [oracle_100k.count(a, b) for a, b in spans]
+
+    @pytest.mark.parametrize("size", WORD_EDGE_SIZES)
+    @pytest.mark.parametrize("lo", [0, 1001])
+    def test_cuts_on_word_edges(self, size, lo):
+        # Spans from lo, and between consecutive ends, that end on and next to
+        # every 64-flag word edge of every segment, 128 integers apart.
+        top = 20_000
+        ends = sorted(
+            b
+            for seg_lo in range(lo, top + 1, size)
+            for w in range(size // 128 + 2)
+            for d in (-2, -1, 0, 1)
+            if lo <= (b := seg_lo + 128 * w + d) <= top
+        )
+        spans = [(lo, b) for b in ends] + [(a + 1, b) for a, b in zip(ends, ends[1:])]
+        got = _count_spans(spans, build_basis(150).primes, size)
+        assert got == [plain_count(a, b) for a, b in spans]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(0, PLAIN_TOP), st.integers(0, PLAIN_TOP)).map(sorted),
+            min_size=1,
+            max_size=6,
+        ),
+        size=st.sampled_from([*WORD_EDGE_SIZES, sieve.DEFAULT_SEGMENT_SIZE]),
+    )
+    def test_long_spans(self, spans, size):
+        # Spans up to 2 * 10^5 integers, across many segments or within one.
+        got = _count_spans([tuple(s) for s in spans], build_basis(448).primes, size)
+        assert got == [plain_count(a, b) for a, b in spans]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_segments_without_odd_integers(self, size):
+        # A one-integer segment at an even lo holds no flag at all.
+        spans = [(4, 4), (4, 5), (3, 4), (2, 2), (2, 3), (10, 10), (0, 0), (8, 11)]
+        got = _count_spans(spans, build_basis(2).primes, size)
+        assert got == [plain_count(a, b) for a, b in spans] == [0, 1, 1, 1, 2, 0, 0, 1]
 
     def test_only_runs_covering_the_spans_are_sieved(self):
         # Two spans 3 * 10^8 apart: sieving the gap between them takes seconds.
