@@ -105,7 +105,8 @@ def leg_many(ns: Iterable[int], *, budget: int = DEFAULT_BUDGET) -> dict[int, in
         return {}
     top = leg_range_top(wanted[0], wanted[-1], budget=budget)
     basis = build_basis(max(2, math.isqrt(top) + 1))
-    counts = _count_spans([(n * n + 1, (n + 1) * (n + 1) - 1) for n in wanted], basis.primes)
+    n = np.array(wanted, dtype=np.int64)  # leg_range_top kept (n + 1)^2 within int64
+    counts = _count_spans(np.stack((n * n + 1, (n + 1) * (n + 1) - 1), axis=1), basis.primes)
     return dict(zip(wanted, counts))
 
 

@@ -7,7 +7,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
-from typing import Callable, Iterable, Mapping, Sequence, TextIO, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Union
 
 from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
 from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
@@ -41,9 +41,12 @@ def trunc2(x: float) -> str:
     return str(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_DOWN, _FLOAT_DIGITS))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One grid point of a conjecture scan: inputs, value, bounds, verdict."""
+class ScanRecord(NamedTuple):
+    """One grid point of a conjecture scan: inputs, value, bounds, verdict.
+
+    A named tuple: immutable, and cheap to build by the thousand in a scan.
+    Its dict fields leave it unhashable.
+    """
 
     rule: str
     inputs: dict[str, int]
@@ -475,36 +478,37 @@ def _records_header(records: list[ScanRecord]) -> list[str]:
 def _records_csv(records: list[ScanRecord]) -> str:
     """One row per record, its cells read straight from the record's fields in header order.
 
-    Each column is a generator over the records, and the rows zip them, so
-    no column is held whole. Each distinct float is formatted once per
-    render, keyed by `repr`, which keeps 0.0 apart from -0.0 and finds nan
-    again.
+    Each column is built as a list and the rows zip them. A cell is
+    formatted by its exact type: an int by `str`, a float by `round1`, once
+    per distinct float per render, and anything else, such as a bool, a
+    missing cell's "" or a numpy scalar, by `_format_cell`. The float memo
+    is keyed by value, except that a zero is keyed by `repr`, which keeps
+    0.0 apart from -0.0.
     """
     header = _records_header(records)
-    inputs = header[1 : header.index("actual")]
-    bounds = [name[len("bound_") :] for name in header[len(inputs) + 2 : -1]]
-    reals: dict[str, str] = {}
+    input_keys = header[1 : header.index("actual")]
+    bound_keys = [name[len("bound_") :] for name in header[len(input_keys) + 2 : -1]]
+    reals: dict = {}
 
-    def cell(value) -> str:
-        if type(value) is float:
-            key = repr(value)
-            text = reals.get(key)
-            if text is None:
-                text = reals[key] = round1(value)
-            return text
-        return _format_cell(value)
+    def real(x: float) -> str:
+        key = x if x else repr(x)
+        text = reals.get(key)
+        if text is None:
+            text = reals[key] = round1(x)
+        return text
 
-    def column(field: str, key: str):
-        for rec in records:
-            values = getattr(rec, field)
-            yield cell(values[key]) if key in values else ""
+    by_type = {int: str, float: real}
 
+    def cells(values: Iterable) -> list[str]:
+        return [by_type.get(type(v), _format_cell)(v) for v in values]
+
+    rules, inputs, actuals, bounds, passes = zip(*records) if records else ((),) * 5
     columns = [
-        (rec.rule for rec in records),
-        *(column("inputs", k) for k in inputs),
-        (cell(rec.actual) for rec in records),
-        *(column("bounds", b) for b in bounds),
-        (_format_cell(rec.passed) for rec in records),
+        rules,
+        *(cells(d.get(key, "") for d in inputs) for key in input_keys),
+        cells(actuals),
+        *(cells(d.get(key, "") for d in bounds) for key in bound_keys),
+        cells(passes),
     ]
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 

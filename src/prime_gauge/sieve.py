@@ -15,7 +15,9 @@ multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place into
 one reused buffer. From there both consumers pack it to one bit per odd
 integer: the span counter into uint64 words, whose one cumulative bit count
 answers every interval end in the segment at once, and a `PiTable` growth
-into its blocks, 1/16 byte per integer.
+into its blocks, 1/16 byte per integer. The span counter takes its intervals
+as an (m, 2) int64 array and merges the runs it sieves in numpy, with no
+Python step per interval.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,40 +231,45 @@ def _prefix_counts(buf: np.ndarray, n: int, ends: np.ndarray) -> tuple[np.ndarra
 
 
 def _count_spans(
-    spans: list[tuple[int, int]], primes: np.ndarray, size: int = DEFAULT_SEGMENT_SIZE
+    spans: np.ndarray | Sequence[tuple[int, int]],
+    primes: np.ndarray,
+    size: int = DEFAULT_SEGMENT_SIZE,
 ) -> list[int]:
     """The number of primes in each inclusive span [a, b] of nonnegative integers, 0 where a > b.
 
-    Only runs that cover the spans are sieved, one segment at a time; spans
-    less than a segment apart share a run. The cuts are the sorted span
-    ends a - 1 and b, and `below[j]` counts the odd primes up to cuts[j]
-    among the integers sieved so far, and the prime 2 once cuts[j] >= 2, so
-    a span is below[b] - below[a - 1]. Each segment's cuts are counted at
+    `spans` is anything `np.asarray` takes as an (m, 2) int64 array of (a, b)
+    rows: a list of pairs, or such an array itself. Only runs that cover the
+    spans are sieved, one segment at a time; spans less than a segment
+    apart share a run. The runs are merged in numpy: in a stable order of
+    a, a span starts a new run wherever its a lies more than `size` past
+    the running maximum of the earlier b. The cuts are the sorted span ends
+    a - 1 and b, and `below[j]` counts the odd primes up to cuts[j] among
+    the integers sieved so far, and the prime 2 once cuts[j] >= 2, so a
+    span is below[b] - below[a - 1]. Each segment's cuts are counted at
     once by `_prefix_counts`, from one packed copy of its flags. Every
     segment is sieved into one buffer, as long as the longest segment
     swept, rounded up past it to whole words.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
-    live = [s for s in spans if s[0] <= s[1]]
-    if not live:
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    live = spans[:, 0] <= spans[:, 1]
+    if not live.any():
         return [0] * len(spans)
-    ends = np.array([a for a, _ in live] + [b for _, b in live], dtype=np.int64)
-    ends[: len(live)] -= 1  # each span's cut a - 1, then each span's cut b
-    # Runs: in order of a, a span more than a segment past every earlier end starts one.
-    runs: list[list[int]] = []
-    for a, b in sorted(live):
-        if runs and a <= runs[-1][1] + size:
-            runs[-1][1] = max(runs[-1][1], b)
-        else:
-            runs.append([a, b])
+    a, b = spans[live, 0], spans[live, 1]
+    ends = np.concatenate((a - 1, b))  # each span's cut a - 1, then each span's cut b
+    order = np.argsort(a, kind="stable")
+    first, reach = a[order], np.maximum.accumulate(b[order])
+    new = np.flatnonzero(first[1:] - reach[:-1] > size) + 1  # the spans that start a run
+    run_lo = first[np.concatenate(([0], new))].tolist()
+    run_hi = reach[np.concatenate((new - 1, [len(a) - 1]))].tolist()
     cuts = np.sort(ends)  # a repeated cut is counted once per copy
     below = np.empty(len(cuts), dtype=np.int64)
     running = k = 0
     # A segment of w integers holds at most w // 2 + 1 odd ones; a word past them stays zero.
-    most = min(size, max(b - a + 1 for a, b in runs)) // 2 + 1
+    most = min(size, max(hi - lo + 1 for lo, hi in zip(run_lo, run_hi))) // 2 + 1
     buf = np.empty((most // 64 + 1) * 64, dtype=bool)
-    for lo, hi in runs:
+    for lo, hi in zip(run_lo, run_hi):
         for seg_lo in range(lo, hi + 1, size):
             seg_end = min(seg_lo + size, hi + 1)
             n = len(_segment_flags(seg_lo, seg_end - 1, primes, buf))
@@ -276,8 +283,9 @@ def _count_spans(
             k = j
     below[int(np.searchsorted(cuts, 2)) :] += 1  # the prime 2, up to every cut from 2 on
     at = below[np.searchsorted(cuts, ends)]
-    got = iter((at[len(live) :] - at[: len(live)]).tolist())
-    return [next(got) if a <= b else 0 for a, b in spans]
+    counts = np.zeros(len(spans), dtype=np.int64)
+    counts[live] = at[len(a) :] - at[: len(a)]
+    return counts.tolist()
 
 
 def count_primes(

@@ -63,6 +63,13 @@ class TestLeg:
         ns = [1, 2, 3, 10, 50, 317, 999]
         assert leg_many(ns) == {n: leg(n, basis_2k) for n in ns}
 
+    @settings(max_examples=50, deadline=None)
+    @given(ns=st.lists(st.integers(1, 1999), min_size=1, max_size=12))
+    def test_leg_many_on_scattered_n(self, basis_2k, ns):
+        # Unsorted, repeated and scattered n, some of their intervals more than
+        # a segment apart, so they fall into separate runs.
+        assert leg_many(ns) == {n: leg(n, basis_2k) for n in ns}
+
     def test_invalid(self, basis_2k):
         with pytest.raises(DomainError):
             leg(0, basis_2k)

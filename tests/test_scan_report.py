@@ -250,3 +250,33 @@ class TestScanRecordFlat:
     def test_round_trip(self):
         rec = ScanRecord("conj4", {"n": 10, "k": 2}, 4, {"upper": 6.2}, True)
         assert ScanRecord.from_flat(rec.to_flat()) == rec
+
+    def test_keyword_construction(self):
+        rec = ScanRecord(rule="conj4", inputs={"n": 10, "k": 2}, actual=4, bounds={}, passed=True)
+        assert rec == ScanRecord("conj4", {"n": 10, "k": 2}, 4, {}, True)
+        assert (rec.rule, rec.inputs, rec.actual, rec.bounds, rec.passed) == (
+            "conj4",
+            {"n": 10, "k": 2},
+            4,
+            {},
+            True,
+        )
+
+    @pytest.mark.parametrize("name", ["rule", "inputs", "actual", "bounds", "passed", "extra"])
+    def test_immutable(self, name):
+        rec = ScanRecord("conj4", {"n": 10, "k": 2}, 4, {"upper": 6.2}, True)
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        assert rec == ScanRecord("conj4", {"n": 10, "k": 2}, 4, {"upper": 6.2}, True)
+
+    def test_unhashable(self):
+        # Its inputs and bounds are dicts.
+        with pytest.raises(TypeError):
+            hash(ScanRecord("conj4", {"n": 10, "k": 2}, 4, {"upper": 6.2}, True))
+
+    def test_golden_records_round_trip(self):
+        # The last record holds nan, which equals nothing, so all are also compared as bytes.
+        back = [ScanRecord.from_flat(rec.to_flat()) for rec in GOLDEN_RECORDS]
+        loaded = records_from_json(render(GOLDEN_RECORDS, "json"))
+        assert back[:-1] == loaded[:-1] == GOLDEN_RECORDS[:-1]
+        assert render(back, "csv") == render(loaded, "csv") == GOLDEN_CSV

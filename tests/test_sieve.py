@@ -747,6 +747,53 @@ class TestCountSpans:
         assert time.perf_counter() - t0 < 1
         assert got == [trial_count(3 * 10**8 - 100, 3 * 10**8), 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spans=st.lists(SPAN | st.sampled_from(EDGE_SPANS), max_size=10),
+        repeats=st.lists(st.integers(0, 9), max_size=3),
+        size=st.integers(1, 64),
+        gaps=st.lists(st.sampled_from([-1, 0, 1]), max_size=4),
+    )
+    def test_array_input_matches_list_input(self, spans, repeats, size, gaps):
+        # Runs merge where a span starts at most `size` past every earlier end:
+        # chain spans whose gap is size - 1, size or size + 1 integers, on the
+        # boundary, in both orders, next to empty and repeated spans.
+        for d in gaps:
+            a, b = spans[-1] if spans else (0, 10)
+            start = max(a, b) + size + d
+            spans += [(start, start + 5), (start + 7, start + 6)]
+        spans = spans[::-1] + [spans[i] for i in repeats if i < len(spans)]
+        primes = build_basis(60).primes
+        want = [plain_count(a, b) for a, b in spans]
+        assert _count_spans(spans, primes, size) == want
+        assert _count_spans(np.array(spans, dtype=np.int64).reshape(-1, 2), primes, size) == want
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_run_gap_of_exactly_a_segment(self, monkeypatch, size, d):
+        # [0, 10] and a span starting size + d past 10: one run at d = 0, two at d = 1.
+        primes = build_basis(60).primes
+        sieved = set()
+        segment_flags = sieve._segment_flags
+
+        def recording(lo, hi, *args):
+            sieved.update(range(lo, hi + 1))
+            return segment_flags(lo, hi, *args)
+
+        monkeypatch.setattr(sieve, "_segment_flags", recording)
+        spans = [(10 + size + d, 40 + size), (0, 10), (10 + size + d, 40 + size)]
+        want = [plain_count(a, b) for a, b in spans]
+        assert _count_spans(spans, primes, size) == want
+        assert _count_spans(np.array(spans, dtype=np.int64), primes, size) == want
+        gap = set(range(11, 10 + size + d))
+        assert sieved == set(range(41 + size)) - (gap if d else set())
+
+    def test_empty_input(self):
+        primes = build_basis(2).primes
+        assert _count_spans([], primes) == []
+        assert _count_spans(np.empty((0, 2), dtype=np.int64), primes) == []
+        assert _count_spans(np.array([[5, 4], [9, 0]]), primes) == [0, 0]
+
     @pytest.mark.parametrize("seg", [0, -4])
     def test_bad_segment_size(self, seg):
         with pytest.raises(DomainError):
