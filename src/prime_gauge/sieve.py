@@ -256,13 +256,14 @@ def _count_spans(
     live = spans[:, 0] <= spans[:, 1]
     if not live.any():
         return [0] * len(spans)
-    a, b = spans[live, 0], spans[live, 1]
+    a, b = spans[live].T
     ends = np.concatenate((a - 1, b))  # each span's cut a - 1, then each span's cut b
     order = np.argsort(a, kind="stable")
     first, reach = a[order], np.maximum.accumulate(b[order])
-    new = np.flatnonzero(first[1:] - reach[:-1] > size) + 1  # the spans that start a run
-    run_lo = first[np.concatenate(([0], new))].tolist()
-    run_hi = reach[np.concatenate((new - 1, [len(a) - 1]))].tolist()
+    # starts[i]: the i-th span in order of a starts a run; starts[-1] closes the last run.
+    starts = np.ones(len(a) + 1, dtype=bool)
+    np.greater(first[1:] - reach[:-1], size, out=starts[1:-1])
+    run_lo, run_hi = first[starts[:-1]].tolist(), reach[starts[1:]].tolist()
     cuts = np.sort(ends)  # a repeated cut is counted once per copy
     below = np.empty(len(cuts), dtype=np.int64)
     running = k = 0
