@@ -488,7 +488,7 @@ def _records_csv(records: list[ScanRecord]) -> str:
     header = _records_header(records)
     input_keys = header[1 : header.index("actual")]
     bound_keys = [name[len("bound_") :] for name in header[len(input_keys) + 2 : -1]]
-    reals: dict = {}
+    reals: dict[float | str, str] = {}
 
     def real(x: float) -> str:
         key = x if x else repr(x)
