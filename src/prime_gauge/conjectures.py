@@ -217,7 +217,7 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
     and counts each chunk's intervals with two batched pi queries,
     pi(kn) - pi(n - 1). Beyond the table's packed bits it holds a few int64
     arrays of one chunk's points and the cumulative bit counts of one
-    block's 4 KB.
+    block's 512 words, 4 KB.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")

@@ -246,7 +246,7 @@ RULES: dict[str, Callable[[ScanContext, Mapping[str, int]], list[ScanRecord]]] =
 
 
 def _evaluate(
-    rule: str, points: list[dict[str, int]], budget: int, where: str = ""
+    rule: str, points: Sequence[Mapping[str, int]], budget: int, where: str = ""
 ) -> list[ScanRecord]:
     """The records of `rule` over `points`, in order.
 
@@ -272,7 +272,7 @@ def run_scan(
     """Records for every grid point, in input order; failures are collected."""
     if rule not in RULES:
         raise UsageError(f"unknown scan rule {rule!r}; known: {', '.join(sorted(RULES))}")
-    return _evaluate(rule, [dict(p) for p in input_grid], budget)
+    return _evaluate(rule, list(input_grid), budget)
 
 
 @dataclass(frozen=True)

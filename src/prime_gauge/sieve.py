@@ -13,11 +13,13 @@ odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
 prime 2 itself. A segment starts as a copy of a small pattern with the odd
 multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place into
 one reused buffer. From there both consumers pack it to one bit per odd
-integer: the span counter into uint64 words, whose one cumulative bit count
-answers every interval end in the segment at once, and a `PiTable` growth
-into its blocks, 1/16 byte per integer. The span counter takes its intervals
-as an (m, 2) int64 array and merges the runs it sieves in numpy, with no
-Python step per interval.
+integer: the span counter into uint64 words per segment, and a `PiTable`
+growth into its blocks, 1/16 byte per integer. Both batched counts read
+those bits through one rank, `_rank`: one cumulative bit count over the
+words answers every position in a segment or a block at once. The scalar
+`PiTable.pi` and `nth` read one sub-block instead. The span counter takes
+its intervals as an (m, 2) int64 array and merges the runs it sieves in
+numpy, with no Python step per interval.
 """
 
 from __future__ import annotations
@@ -212,22 +214,21 @@ def _segment_flags(
     return flags
 
 
-def _prefix_counts(buf: np.ndarray, n: int, ends: np.ndarray) -> tuple[np.ndarray, int]:
-    """The set flags among the first e of buf[:n] for each e <= n of `ends`, and among all n.
+def _rank(words: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, int]:
+    """The set bits before each position in uint64 words of packed bits, and their total.
 
-    The flags are packed once into uint64 words, zeroed past n to a whole
-    word and at least one bit beyond, so even e = n names a word. One
-    cumulative bit count over the words answers every e at once: the words
-    before e's word, plus that word's bits below e. Its arrays are freed on
-    return, before the next segment packs.
+    Bit p is bit p % 64 of word p // 64 (the little-endian order of
+    `np.packbits(bitorder="little")` viewed as uint64), and every position
+    lies in [0, 64 * len(words)], the end included, for at least one word.
+    One cumulative bit count over the words answers every position at
+    once: the words before its word, plus that word's bits below it. The
+    end names no word; it reads the last one, under a mask that keeps no bit.
     """
-    m = (n // 64 + 1) * 64
-    buf[n:m] = False
-    words = np.packbits(buf[:m], bitorder="little").view(np.uint64)
-    before = np.zeros(len(words) + 1, dtype=np.int64)  # set flags in the first w words
+    before = np.zeros(len(words) + 1, dtype=np.int64)  # set bits in the first w words
     np.cumsum(np.bitwise_count(words), out=before[1:])
-    word, bit = np.divmod(ends, 64)
-    return before[word] + np.bitwise_count(words[word] & _LOW_BITS[bit]), int(before[-1])
+    word, bit = np.divmod(positions, 64)
+    partial = words.take(word, mode="clip") & _LOW_BITS[bit]
+    return before[word] + np.bitwise_count(partial), int(before[-1])
 
 
 def _count_spans(
@@ -245,8 +246,9 @@ def _count_spans(
     the running maximum of the earlier b. The cuts are the sorted span ends
     a - 1 and b, and `below[j]` counts the odd primes up to cuts[j] among
     the integers sieved so far, and the prime 2 once cuts[j] >= 2, so a
-    span is below[b] - below[a - 1]. Each segment's cuts are counted at
-    once by `_prefix_counts`, from one packed copy of its flags. Every
+    span is below[b] - below[a - 1]. Each segment's flags are packed once
+    into uint64 words, which `_rank` counts at all its cuts at once; the
+    words are freed with its return, before the next segment packs. Every
     segment is sieved into one buffer, as long as the longest segment
     swept, rounded up past it to whole words.
     """
@@ -278,7 +280,9 @@ def _count_spans(
             # takes a - 1 for a span that starts the run, which counts nothing.
             j = int(np.searchsorted(cuts, seg_end))
             odd = (cuts[k:j] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
-            counted, total = _prefix_counts(buf, n, odd)
+            m = (n // 64 + 1) * 64  # zeroed past the flags to a whole word and a bit beyond
+            buf[n:m] = False
+            counted, total = _rank(np.packbits(buf[:m], bitorder="little").view(np.uint64), odd)
             below[k:j] = running + counted
             running += total
             k = j
@@ -353,8 +357,6 @@ class PiTable:
     budget, in O(log stride + x / stride) growths. Growth appends blocks
     under a lock; it builds new lists that keep every published block and
     count, and publishes the new limit last, so queries need no lock.
-    `checkpoints[j]` is pi(j * checkpoint_stride) for every stride covered
-    so far.
     """
 
     def __init__(
@@ -376,11 +378,6 @@ class PiTable:
     @property
     def sieved_limit(self) -> int:
         return self._limit
-
-    @property
-    def checkpoints(self) -> list[int]:
-        stride = self.checkpoint_stride
-        return [self._pi_covered(j * stride) for j in range(self._limit // stride + 1)]
 
     def _ensure(self, x: int) -> None:
         if x <= self._limit:
@@ -431,21 +428,14 @@ class PiTable:
         word = int.from_bytes(self._blocks[j][at : at + (n + 7) // 8], "little")
         return word & ((1 << n) - 1)
 
-    def _pi_covered(self, x: int) -> int:
-        """pi(x) for x already inside the sieved region, from at most one sub-block's bytes."""
-        if x < 2:
-            return 0
-        s = x // _SUB
-        return int(self._below[s]) + self._prefix(s, (x - s * _SUB + 1) // 2).bit_count()
-
     def _pi_many(self, xs: np.ndarray) -> np.ndarray:
         """pi at each point of an int64 array of points in [0, budget], in the given order.
 
         The table grows once, to the largest point. Points are grouped by
         block, so each touched block's 4 KB is read once: pi(x) is the
-        count below block j, plus the primes of the bytes of block j below
-        x's byte, from one cumulative bit count per byte, plus those of the
-        bits of x's byte up to x. Only one block's byte counts are alive
+        count below block j plus the rank of x's bit among the block's
+        512 words, which `_rank` gives every point of the block from one
+        cumulative count per word. Only one block's word counts are alive
         at a time.
         """
         xs = np.asarray(xs, dtype=np.int64)
@@ -459,13 +449,8 @@ class PiTable:
         order = np.argsort(js, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
             j = int(js[group[0]])
-            bits = blocks[j]
-            before = np.zeros(len(bits) + 1, dtype=np.int64)  # primes in the first b bytes
-            np.cumsum(np.bitwise_count(bits), out=before[1:])
             odd = (xs[group] - j * _BLOCK + 1) // 2  # the odd integers in [j * _BLOCK, x]
-            byte, bit = odd // 8, odd % 8  # bit is 0 where byte is past the block
-            partial = bits[np.minimum(byte, len(bits) - 1)] & ((1 << bit) - 1)
-            pis[group] = below[j * _BLOCK // _SUB] + before[byte] + np.bitwise_count(partial)
+            pis[group] = below[j * _BLOCK // _SUB] + _rank(blocks[j].view(np.uint64), odd)[0]
         pis[xs < 2] = 0
         return pis
 
@@ -478,7 +463,8 @@ class PiTable:
         if x < 2:
             return 0
         self._ensure(x)
-        return self._pi_covered(x)
+        s = x // _SUB  # the count below x's sub-block, and its bits up to x
+        return int(self._below[s]) + self._prefix(s, (x - s * _SUB + 1) // 2).bit_count()
 
     def nth(self, i: int) -> int:
         if i < 1:

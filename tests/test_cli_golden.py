@@ -77,6 +77,39 @@ GOLDEN = [
     (["pnt-ratio", "--n", "10"], 0, "rule,n,actual,pass\npnt_ratio,10,0.9,true\n"),
 ]
 
+# Errors the scan layer raises: a domain error exits 2, a budget error exits 3,
+# and either prints one line on stderr and nothing on stdout.
+GOLDEN_ERRORS = [
+    (["bounds", "--n", "3"], 2, "evaluate_leg needs n >= 5, got 3"),
+    (
+        ["bounds", "--n", "46340"],
+        3,
+        "interval end 2147488280 exceeds the sieve budget 2147483648",
+    ),
+    (["nagura", "--n", "25"], 2, "the 6n/5 result needs n > 25, got 25"),
+    (
+        ["nagura", "--n", "10001", "--budget", "12000"],
+        3,
+        "interval end 12001 exceeds the sieve budget 12000",
+    ),
+    (["leg", "--n", "0"], 2, "leg expects a positive integer, got 0"),
+    (
+        ["leg-scan", "--from", "1", "--to", "46341"],
+        3,
+        "interval end 2147580963 exceeds the sieve budget 2147483648",
+    ),
+    (
+        ["table", "--id", "2", "--budget", "10000"],
+        3,
+        "table 2, row n=100: interval end 10200 exceeds the sieve budget 10000",
+    ),
+    (
+        ["table", "--id", "3", "--budget", "10000"],
+        3,
+        "table 3, column k=2: k * scan_limit = 20000 exceeds the budget 10000",
+    ),
+]
+
 
 @pytest.mark.parametrize("argv,code,stdout", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
 def test_subcommand_output(capsys, argv, code, stdout):
@@ -91,3 +124,12 @@ def test_table_matches_anchor(capsys, table_id):
         argv += ["--budget", str(10**8)]
     assert main(argv) == 0
     assert capsys.readouterr().out == (ANCHORS / f"table{table_id}.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,code,message", GOLDEN_ERRORS, ids=[" ".join(g[0]) for g in GOLDEN_ERRORS]
+)
+def test_error_output(capsys, argv, code, message):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")

@@ -40,6 +40,19 @@ class TestRunScan:
         assert [r.inputs["n"] for r in records] == ns
         assert [r.actual for r in records] == [leg(n, basis) for n in ns]
 
+    @pytest.mark.parametrize(
+        "rule,grid",
+        [
+            ("improved_legendre", [{"n": n} for n in (7, 1, 300, 7)]),
+            ("conj4", [{"n": n, "k": k} for n in (10, 50) for k in (2, 5)]),
+        ],
+    )
+    def test_generator_grid_matches_list_grid(self, rule, grid):
+        # The grid is read once, and no record shares its inputs with a grid point.
+        listed = run_scan(rule, grid, budget=10**6)
+        assert run_scan(rule, (dict(p) for p in grid), budget=10**6) == listed
+        assert all(r.inputs is not p for r, p in zip(listed, grid))
+
     def test_empty_grid(self):
         assert run_scan("improved_legendre", []) == []
 

@@ -314,9 +314,8 @@ class TestPiTable:
             assert table.pi(x) == oracle_100k.pi(x)
             if x >= 2:
                 assert table.nth(oracle_100k.pi(x)) <= x
-        checkpoints = table.checkpoints
-        assert len(checkpoints) == table.sieved_limit // stride + 1
-        assert checkpoints == [oracle_100k.pi(j * stride) for j in range(len(checkpoints))]
+        for j in range(table.sieved_limit // stride + 1):
+            assert table.pi(j * stride) == oracle_100k.pi(j * stride)
 
     def test_fresh_table_sieves_only_to_the_query(self):
         # Far below one 2^24 stride: [0, 10^5] and no more, about 6 KB of bits.
@@ -417,12 +416,11 @@ class TestPiTable:
             tracemalloc.stop()
         assert peak < 2**21 + 2**18
 
-    def test_checkpoints(self):
-        table = PiTable(budget=10**6, checkpoint_stride=100_000)
-        pi(10**6, table)
-        assert table.checkpoints == sorted(table.checkpoints)
-        for j, value in enumerate(table.checkpoints):
-            assert value == pi(j * 100_000, table)
+    def test_checkpoints(self, oracle_100k):
+        table = PiTable(budget=10**5, checkpoint_stride=10_000)
+        pi(10**5, table)
+        for j in range(table.sieved_limit // 10_000 + 1):
+            assert pi(j * 10_000, table) == oracle_100k.pi(j * 10_000)
 
     def test_lazy_growth_consistency(self):
         # Interleaved small and large queries must agree with a fresh table.
@@ -685,6 +683,23 @@ WORD_EDGE_SIZES = [63, 64, 65, 127, 128, 129, 4095, 4097]
 def plain_count(a, b):
     """The primes in [a, b] by the plain sieve, 0 where a > b."""
     return int(PLAIN_PI[b] - (PLAIN_PI[a - 1] if a else 0)) if a <= b else 0
+
+
+WORD = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1])
+
+
+class TestRank:
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(WORD, min_size=1, max_size=9))
+    def test_matches_unpacked_cumsum(self, words):
+        # Every position from 0 to the end, word edges and the end included.
+        words = np.array(words, dtype=np.uint64)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little").cumsum()
+        want = np.concatenate(([0], bits))
+        positions = np.arange(64 * len(words) + 1)
+        counted, total = sieve._rank(words, positions)
+        assert counted.tolist() == want.tolist()
+        assert total == int(want[-1])
 
 
 class TestCountSpans:
