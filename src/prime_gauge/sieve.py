@@ -1,29 +1,33 @@
 """Exact prime generation, primality, and counting over 64-bit ranges.
 
-One segment kernel, walked over an interval piece by piece, gives the prime
-flags behind everything that sieves: the base primes, `PiTable` (pi(x) and
-n-th-prime queries over appended blocks of packed bits, with the count of
-primes below every 2^10 integers) and one span counter, which counts the
-primes in many intervals at once behind `count_primes`, `pi_at_points` and
-`leg_many`.
+One segment kernel, `_segment_words`, walked over an interval piece by
+piece, gives the prime bits behind everything that sieves: the base primes,
+`PiTable` (pi(x) and n-th-prime queries over appended blocks of packed bits,
+with the count of primes below every 2^10 integers) and one span counter,
+which counts the primes in many intervals at once behind `count_primes`,
+`pi_at_points` and `leg_many`.
 
-The kernel stores and marks odd integers only. The flags of a segment [lo, hi]
-hold one byte per odd integer in it: flag i stands for (lo | 1) + 2i, and the
-odd integer x sits at index x // 2 - lo // 2. Every consumer counts the
-prime 2 itself. A segment starts as a copy of a small pattern with the odd
-multiples of 3, 5, 7, 11 and 13 already struck, and is sieved in place into
-one reused buffer. From there both consumers pack it to one bit per odd
-integer: the span counter into uint64 words per segment, and a `PiTable`
-growth into its blocks, 1/16 byte per integer. Both batched counts read
-those bits through one rank, `_rank`: one cumulative bit count over the
-words answers every position in a segment or a block at once. The scalar
-`PiTable.pi` and `nth` read one sub-block instead. The span counter takes
-its intervals as an (m, 2) int64 array and merges the runs it sieves in
-numpy, with no Python step per interval.
+The kernel stores and marks odd integers only, and returns a segment [lo, hi]
+as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
+so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
+is 0. Every consumer counts the prime 2 itself. The kernel sieves in one
+reused buffer of one byte per odd integer: it starts as a copy of a small
+pattern with the odd multiples of 3, 5, 7, 11 and 13 already struck, and
+only the base primes above 89 strike it. It packs the bytes once into
+words, where one AND per group of primes from 17 to 89 clears their
+multiples with a precomputed pattern of packed words, rotated to the
+segment. The span counter ranks those words per segment, a `PiTable` growth
+copies them into its blocks, 1/16 byte per integer, and the base primes
+unpack them. Both batched counts read the bits through one rank, `_rank`:
+one cumulative bit count over the words answers every position in a segment
+or a block at once. The scalar `PiTable.pi` and `nth` read one sub-block
+instead. The span counter takes its intervals as an (m, 2) int64 array and
+merges the runs it sieves in numpy, with no Python step per interval.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -94,9 +98,11 @@ def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, sieved from the primes up to isqrt(limit)."""
     seed = _primes_upto(math.isqrt(limit)) if limit >= 4 else np.zeros(0, dtype=np.int64)
     primes = [np.array([2], dtype=np.int64)] if limit >= 2 else []
+    buf = _segment_buffer(min(DEFAULT_SEGMENT_SIZE, limit + 1))
     for lo in range(0, limit + 1, DEFAULT_SEGMENT_SIZE):
-        flags = _segment_flags(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, limit), seed)
-        primes.append((lo | 1) + 2 * np.flatnonzero(flags))
+        words = _segment_words(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, limit), seed, buf)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        primes.append((lo | 1) + 2 * np.flatnonzero(bits))
     return np.concatenate(primes)
 
 
@@ -175,35 +181,82 @@ def _wheel_pattern() -> np.ndarray:
     return flags
 
 
+def _presieve_pattern(group: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
+    """The period P of a group's primes, 64^-1 mod P, and two periods of its packed words.
+
+    Bit i of the words, bit i % 64 of word i // 64, stands for the odd
+    integer 2i + 1 and is clear where a prime of the group divides it, so
+    the words repeat every P words. Each prime q's own period, q words, is
+    packed once from its flags and ANDed into every q words. The words are
+    read-only.
+    """
+    period = math.prod(group)
+    words = np.full(2 * period, ~np.uint64(0))
+    for q in group:
+        flags = np.ones(64 * q, dtype=bool)
+        flags[q // 2 :: q] = False  # flag i stands for 2i + 1
+        rows = words.reshape(-1, q)
+        np.bitwise_and(rows, np.packbits(flags, bitorder="little").view(np.uint64), out=rows)
+    words.flags.writeable = False
+    return period, pow(64, -1, period), words
+
+
 _WHEEL_FLAGS = _wheel_pattern()
+# The odd primes from 17 to _PRESIEVE_TOP are cleared from a segment's packed
+# words by one AND per group, with at most 2^13 words per period. Per
+# 2^21-integer segment on 2 cores, one AND reads 12-17 us, while striking a
+# prime below 64 reads about 30 us (it touches every cache line) and striking
+# 89 about 21 us; the single group (89,) reads 17 us. Pairing the primes past
+# 89 up to 113 or 127 saved at most 2 % more per segment for 0.5-0.6 MB of
+# patterns stored once, so they are struck.
+_PRESIEVE_GROUPS = (
+    (17, 19, 23), (29, 31), (37, 41), (43, 47), (53, 59), (61, 67), (71, 73), (79, 83), (89,)
+)
+_PRESIEVE_TOP = 89
+# Every odd prime the patterns clear, as bits of odd indices: bit q // 2 for the prime q.
+_PATTERN_BITS = sum(1 << (q // 2) for q in _WHEEL_PRIMES + sum(_PRESIEVE_GROUPS, ()))
 
 
-def _segment_flags(
-    lo: int, hi: int, primes: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Prime flags for the odd integers in [lo, hi]: flag i stands for (lo | 1) + 2i.
+@functools.cache
+def _presieve() -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Each presieve group's pattern, built on the first sieve: 494 544 bytes of words in all."""
+    return tuple(_presieve_pattern(g) for g in _PRESIEVE_GROUPS)
 
-    `primes` are the base primes in order from 2, up to at least isqrt(hi).
-    The flags start as the wheel pattern, rotated to the segment, so the
-    prime 2 and the wheel primes mark nothing; each larger p strikes its odd
-    multiples from max(p^2, lo) on, p flags apart. With `out`, a contiguous
-    bool array at least as long as the flags, they are written into its
-    head and that view is returned.
+
+def _segment_buffer(width: int) -> np.ndarray:
+    """A bool buffer for `_segment_words` over segments of at most `width` integers.
+
+    Such a segment holds at most width // 2 + 1 odd integers, so whole words
+    of width // 128 + 1 cover them.
+    """
+    return np.empty(64 * (width // 128 + 1), dtype=bool)
+
+
+def _segment_words(lo: int, hi: int, primes: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Prime bits for the odd integers in [lo, hi], packed into uint64 words.
+
+    Bit i, bit i % 64 of word i // 64, stands for (lo | 1) + 2i; the words
+    number max(1, ceil(n / 64)) for the segment's n odd integers, and every
+    bit from n on is 0. `primes` are the base primes in order from 2, up to
+    at least isqrt(hi), and `buf` is a contiguous bool array of at least
+    64 entries per word, from `_segment_buffer`, whose head the flags of
+    the segment are sieved in, one byte per odd integer. The flags start as
+    the wheel pattern, rotated to the segment; each base prime p above
+    _PRESIEVE_TOP strikes its odd multiples from max(p^2, lo) on, p flags
+    apart. They are packed once, and each presieve group then clears the
+    odd multiples of its primes with one AND of its pattern, rotated to
+    the segment: word w of the segment is word (lo // 2 + 64 w) * 64^-1
+    mod P of a pattern with period P. Last, the bits of the pattern primes
+    inside the segment are set back, and that of the integer 1 cleared.
     """
     base = lo // 2
     n = (hi + 1) // 2 - base
-    flags = np.empty(n, dtype=bool) if out is None else out[:n]
+    flags = buf[:n]
     # One broadcast copy of the period starting at odd index `base`, then the tail.
     rot, m = base % _WHEEL, n // _WHEEL
     flags[: m * _WHEEL].reshape(m, _WHEEL)[:] = _WHEEL_FLAGS[rot : rot + _WHEEL]
     flags[m * _WHEEL :] = _WHEEL_FLAGS[rot : rot + n - m * _WHEEL]
-    if lo <= _WHEEL_PRIMES[-1]:
-        for p in _WHEEL_PRIMES:
-            if lo <= p <= hi:
-                flags[p // 2 - base] = True
-        if lo < 2:
-            flags[:1] = False  # the integer 1
-    first = int(np.searchsorted(primes, _WHEEL_PRIMES[-1], side="right"))
+    first = int(np.searchsorted(primes, _PRESIEVE_TOP, side="right"))
     cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     ps = primes[first:cut]
     # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
@@ -211,14 +264,29 @@ def _segment_flags(
     starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps)
     for p, at in zip(ps.tolist(), (starts // 2 - base).tolist()):
         flags[at::p] = False
-    return flags
+    size = max(1, -(-n // 64))
+    buf[n : 64 * size] = False
+    words = np.packbits(buf[: 64 * size], bitorder="little").view(np.uint64)
+    for period, inverse, pattern in _presieve():
+        r = base * inverse % period  # the pattern word under the segment's word 0
+        k = size // period
+        if k:  # whole periods of words, then the tail
+            rows = words[: k * period].reshape(k, period)
+            np.bitwise_and(rows, pattern[r : r + period], out=rows)
+        tail = words[k * period :]
+        tail &= pattern[r : r + len(tail)]
+    if lo <= _PRESIEVE_TOP:
+        # A pattern prime q is odd index q // 2 <= 44, so it lies in word 0 if in the segment.
+        bits = int(words[0]) | (_PATTERN_BITS >> base) & ((1 << min(n, 64)) - 1)
+        words[0] = bits & ~1 if lo < 2 else bits  # bit 0 of [0, hi] stands for the integer 1
+    return words
 
 
 def _rank(words: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, int]:
     """The set bits before each position in uint64 words of packed bits, and their total.
 
-    Bit p is bit p % 64 of word p // 64 (the little-endian order of
-    `np.packbits(bitorder="little")` viewed as uint64), and every position
+    Bit p is bit p % 64 of word p // 64 (the order of `_segment_words`
+    and of `PiTable`'s blocks viewed as uint64), and every position
     lies in [0, 64 * len(words)], the end included, for at least one word.
     One cumulative bit count over the words answers every position at
     once: the words before its word, plus that word's bits below it. The
@@ -246,11 +314,10 @@ def _count_spans(
     the running maximum of the earlier b. The cuts are the sorted span ends
     a - 1 and b, and `below[j]` counts the odd primes up to cuts[j] among
     the integers sieved so far, and the prime 2 once cuts[j] >= 2, so a
-    span is below[b] - below[a - 1]. Each segment's flags are packed once
-    into uint64 words, which `_rank` counts at all its cuts at once; the
-    words are freed with its return, before the next segment packs. Every
-    segment is sieved into one buffer, as long as the longest segment
-    swept, rounded up past it to whole words.
+    span is below[b] - below[a - 1]. `_rank` counts each segment's words
+    at all its cuts at once; the words are freed before the next segment
+    is sieved. Every segment is sieved in one buffer, sized for the longest
+    segment swept.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
@@ -269,20 +336,16 @@ def _count_spans(
     cuts = np.sort(ends)  # a repeated cut is counted once per copy
     below = np.empty(len(cuts), dtype=np.int64)
     running = k = 0
-    # A segment of w integers holds at most w // 2 + 1 odd ones; a word past them stays zero.
-    most = min(size, max(hi - lo + 1 for lo, hi in zip(run_lo, run_hi))) // 2 + 1
-    buf = np.empty((most // 64 + 1) * 64, dtype=bool)
+    buf = _segment_buffer(min(size, max(hi - lo + 1 for lo, hi in zip(run_lo, run_hi))))
     for lo, hi in zip(run_lo, run_hi):
         for seg_lo in range(lo, hi + 1, size):
             seg_end = min(seg_lo + size, hi + 1)
-            n = len(_segment_flags(seg_lo, seg_end - 1, primes, buf))
+            words = _segment_words(seg_lo, seg_end - 1, primes, buf)
             # The cuts up to the segment's end; the first segment of a run also
             # takes a - 1 for a span that starts the run, which counts nothing.
             j = int(np.searchsorted(cuts, seg_end))
             odd = (cuts[k:j] + 1) // 2 - seg_lo // 2  # the odd integers in [seg_lo, cut]
-            m = (n // 64 + 1) * 64  # zeroed past the flags to a whole word and a bit beyond
-            buf[n:m] = False
-            counted, total = _rank(np.packbits(buf[:m], bitorder="little").view(np.uint64), odd)
+            counted, total = _rank(words, odd)
             below[k:j] = running + counted
             running += total
             k = j
@@ -400,19 +463,20 @@ class PiTable:
             subs = new_limit // _SUB + 1 - first
             # One array of bits per growth, whole sub-blocks of them, zero past the limit.
             bits = np.zeros(subs * _SUB // 16, dtype=np.uint8)
+            table_words = bits.view(np.uint64)  # 128 integers per word
             below = np.empty(first + 1 + subs, dtype=np.int64)
             below[: first + 1] = self._below[: first + 1]
-            buf = np.empty(min(DEFAULT_SEGMENT_SIZE, new_limit + 1 - lo) // 2 + 1, dtype=bool)
+            buf = _segment_buffer(min(DEFAULT_SEGMENT_SIZE, new_limit + 1 - lo))
             for seg_lo in range(lo, new_limit + 1, DEFAULT_SEGMENT_SIZE):
                 seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, new_limit)
-                flags = _segment_flags(seg_lo, seg_hi, primes, buf)
-                # lo and the segment size are multiples of _SUB: a segment starts a sub-block.
+                words = _segment_words(seg_lo, seg_hi, primes, buf)
+                # lo and the segment size are multiples of _SUB: a segment starts a
+                # sub-block, and its words end within its last one, sub-block t - 1.
                 s, t = (seg_lo - lo) // _SUB, (seg_hi - lo) // _SUB + 1
-                packed = np.packbits(flags, bitorder="little")
-                at = (seg_lo - lo) // 16  # 16 integers per byte of bits
-                bits[at : at + len(packed)] = packed
-                words = bits[at : t * _SUB // 16].view(np.uint64).reshape(t - s, -1)
-                below[first + 1 + s : first + 1 + t] = np.bitwise_count(words).sum(axis=1)
+                at = s * _SUB // 128
+                table_words[at : at + len(words)] = words
+                counts = np.bitwise_count(table_words[at : t * _SUB // 128].reshape(t - s, -1))
+                below[first + 1 + s : first + 1 + t] = counts.sum(axis=1)
             np.cumsum(below[first:], out=below[first:])
             self._blocks = self._blocks[:full] + [
                 bits[k * _BLOCK // 16 : (k + 1) * _BLOCK // 16]

@@ -644,11 +644,50 @@ def plain_sieve(n: int) -> np.ndarray:
     return flags
 
 
-PLAIN = plain_sieve(200_000)
+PLAIN = plain_sieve(2_000_000)
 WHEEL_SPAN = 30_030  # integers per period of the kernel's pre-sieved pattern
+PRESIEVE_CAP = 2**13  # the most words in one presieve group's period
+PRESIEVE_BYTES = 500_000  # the bound the README states for the presieve patterns
+# The odd primes the wheel and the presieve patterns clear, and the kernel sets back.
+PATTERN_PRIMES = [q for q in range(3, sieve._PRESIEVE_TOP + 1) if trial_is_prime(q)]
 
 
-class TestSegmentFlags:
+def unpacked(words):
+    """The bits of uint64 words, bit i being bit i % 64 of word i // 64."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
+
+
+def check_segment(lo, hi, primes, buf):
+    """The kernel's words for [lo, hi] against the plain sieve, 0 past the segment."""
+    want = PLAIN[lo | 1 : hi + 1 : 2]
+    words = sieve._segment_words(lo, hi, primes, buf)
+    assert len(words) == max(1, -(-len(want) // 64))
+    bits = unpacked(words)
+    assert np.array_equal(bits[: len(want)], want)
+    assert not bits[len(want) :].any()  # the words past the segment are 0
+
+
+@st.composite
+def presieve_windows(draw):
+    """[lo, hi] about a presieved prime, or sized and rotated against a group's period."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from(PATTERN_PRIMES))
+        lo = max(0, q + draw(st.integers(-3, 3)))  # lo = q and lo = q + 1 among them
+        return lo, lo + draw(st.integers(0, 300) | st.integers(0, 20_000))
+    period, inverse, _ = draw(st.sampled_from(sieve._presieve()))
+    # base = lo // 2 puts pattern word r under the segment's word 0; r = P - 1 is the last.
+    r = draw(st.sampled_from([0, 1, period - 1]) | st.integers(0, period - 1))
+    base = r * 64 % period + period * draw(st.integers(0, 2))
+    assert base * inverse % period == r
+    # Below, at and above one and two periods of words, and a word or more short of them.
+    size = draw(st.sampled_from([1, 2, period - 1, period, period + 1, 2 * period, 2 * period + 1]))
+    n = 64 * size - draw(st.sampled_from([0, 1, 63]) | st.integers(0, 63))
+    lo = 2 * base + draw(st.integers(0, 1))
+    hi = max(lo, 2 * (base + n) - draw(st.integers(0, 1)))
+    return lo, hi
+
+
+class TestSegmentWords:
     @settings(max_examples=300, deadline=None)
     @given(
         lo=st.integers(0, 40)
@@ -656,26 +695,42 @@ class TestSegmentFlags:
         | st.builds(lambda k, d: k * WHEEL_SPAN + d, st.integers(1, 4), st.integers(-40, 40)),
         width=st.integers(0, 70_000) | st.integers(WHEEL_SPAN - 40, WHEEL_SPAN + 40),
         extra=st.integers(0, 300),
-        spare=st.none() | st.integers(0, 5000),
+        spare=st.integers(0, 5000),
     )
     def test_matches_plain_sieve(self, lo, width, extra, spare):
         # Windows from 0, short and long, across the wheel period, each with a
-        # basis at least up to isqrt(hi), written fresh or into a longer `out`.
+        # basis at least up to isqrt(hi), sieved in a buffer of ones, exactly
+        # as long as `_segment_buffer` makes it or longer.
         hi = lo + width
         primes = build_basis(max(2, math.isqrt(hi) + extra)).primes
-        want = PLAIN[lo | 1 : hi + 1 : 2]
-        out = None if spare is None else np.ones(len(want) + spare, dtype=bool)
-        got = sieve._segment_flags(lo, hi, primes, out)
-        assert np.array_equal(got, want)
-        if out is not None:
-            assert np.array_equal(out[: len(want)], want)
-            assert out[len(want) :].all()  # nothing past the segment is touched
+        buf = np.ones(len(sieve._segment_buffer(width + 1)) + spare, dtype=bool)
+        check_segment(lo, hi, primes, buf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=presieve_windows())
+    def test_presieve_windows(self, window):
+        # lo on both sides of every pattern prime, and segments whose word count
+        # is below, equal to and above each group's period, at every kind of
+        # rotation: the tail, the wrap-around and the pattern's last word.
+        lo, hi = window
+        primes = build_basis(max(2, math.isqrt(hi))).primes
+        check_segment(lo, hi, primes, sieve._segment_buffer(hi - lo + 1))
+
+    def test_presieve_groups(self):
+        # The groups hold exactly the primes in (13, T], each period within the
+        # cap, and their patterns within the size the README states.
+        held = sorted(q for group in sieve._PRESIEVE_GROUPS for q in group)
+        assert held == [q for q in range(14, sieve._PRESIEVE_TOP + 1) if trial_is_prime(q)]
+        assert all(math.prod(group) <= PRESIEVE_CAP for group in sieve._PRESIEVE_GROUPS)
+        patterns = sieve._presieve()
+        assert [period for period, _, _ in patterns] == list(map(math.prod, sieve._PRESIEVE_GROUPS))
+        assert sum(words.nbytes for _, _, words in patterns) <= PRESIEVE_BYTES
 
 
 SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
 EDGE_SPANS = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2), (2, 1)]
-PLAIN_PI = np.cumsum(PLAIN)  # pi(x) for every x the plain sieve covers
-PLAIN_TOP = len(PLAIN) - 1
+PLAIN_TOP = 200_000  # the most the span tests count to
+PLAIN_PI = np.cumsum(PLAIN[: PLAIN_TOP + 1])  # pi(x) for every x up to it
 # Segments of 31 to 33, 63 to 65 and 2047 to 2049 odd flags: on and off a 64-flag word edge.
 WORD_EDGE_SIZES = [63, 64, 65, 127, 128, 129, 4095, 4097]
 
@@ -789,13 +844,13 @@ class TestCountSpans:
         # [0, 10] and a span starting size + d past 10: one run at d = 0, two at d = 1.
         primes = build_basis(60).primes
         sieved = set()
-        segment_flags = sieve._segment_flags
+        segment_words = sieve._segment_words
 
         def recording(lo, hi, *args):
             sieved.update(range(lo, hi + 1))
-            return segment_flags(lo, hi, *args)
+            return segment_words(lo, hi, *args)
 
-        monkeypatch.setattr(sieve, "_segment_flags", recording)
+        monkeypatch.setattr(sieve, "_segment_words", recording)
         spans = [(10 + size + d, 40 + size), (0, 10), (10 + size + d, 40 + size)]
         want = [plain_count(a, b) for a, b in spans]
         assert _count_spans(spans, primes, size) == want
