@@ -11,10 +11,9 @@ The kernel stores and marks odd integers only, and returns a segment [lo, hi]
 as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
 so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
 is 0. Every consumer counts the prime 2 itself. The kernel sieves in one
-reused buffer of one byte per odd integer: it starts as a copy of a small
-pattern with the odd multiples of 3, 5, 7, 11 and 13 already struck, and
-only the base primes above 89 strike it. It packs the bytes once into
-words, where one AND per group of primes from 17 to 89 clears their
+reused buffer of one byte per odd integer, filled with ones, which only
+the base primes above 89 strike. It packs the bytes once into words,
+where one AND per group of the odd primes from 3 to 89 clears their
 multiples with a precomputed pattern of packed words, rotated to the
 segment. The span counter ranks those words per segment, a `PiTable` growth
 copies them into its blocks, 1/16 byte per integer, and the base primes
@@ -45,9 +44,7 @@ INT64_MAX = (1 << 63) - 1
 
 _BLOCK = 1 << 16  # integers per PiTable block: 2^15 odd ones, 4 KB of packed bits
 _SUB = 1 << 10  # integers per PiTable sub-block: 2^9 odd ones, 64 bytes, 8 uint64 words
-_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # struck from every segment by one pattern copy
-_WHEEL = 3 * 5 * 7 * 11 * 13  # odd flags per period of that pattern, 30030 integers
-_BASIS_CAP = 1 << 28  # refuse simple-sieve allocations above this
+_BASIS_CAP = 1 << 28  # refuse a basis past this: its primes array, at 8 bytes per prime
 # A PiTable holds one bit per odd integer in [0, limit] and 8 bytes of count per
 # 2^10 integers; refuse to grow beyond the integers the default budget needs.
 _TABLE_CAP = DEFAULT_BUDGET + 1
@@ -114,7 +111,7 @@ def is_prime(n: int) -> bool:
         raise RangeOverflowError(f"{n} exceeds the supported 64-bit range")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -173,14 +170,6 @@ class Interval:
         return a <= x <= b
 
 
-def _wheel_pattern() -> np.ndarray:
-    """Two periods of odd flags from 1 on, with the odd multiples of 3, 5, 7, 11 and 13 struck."""
-    flags = np.ones(2 * _WHEEL, dtype=bool)
-    for p in _WHEEL_PRIMES:
-        flags[p // 2 :: p] = False  # flag i stands for 2i + 1
-    return flags
-
-
 def _presieve_pattern(group: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
     """The period P of a group's primes, 64^-1 mod P, and two periods of its packed words.
 
@@ -201,25 +190,24 @@ def _presieve_pattern(group: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
     return period, pow(64, -1, period), words
 
 
-_WHEEL_FLAGS = _wheel_pattern()
-# The odd primes from 17 to _PRESIEVE_TOP are cleared from a segment's packed
+# The odd primes from 3 to _PRESIEVE_TOP are cleared from a segment's packed
 # words by one AND per group, with at most 2^13 words per period. Per
-# 2^21-integer segment on 2 cores, one AND reads 12-17 us, while striking a
-# prime below 64 reads about 30 us (it touches every cache line) and striking
-# 89 about 21 us; the single group (89,) reads 17 us. Pairing the primes past
-# 89 up to 113 or 127 saved at most 2 % more per segment for 0.5-0.6 MB of
-# patterns stored once, so they are struck.
+# 2^21-integer segment on 2 cores, one AND reads about 10 us, while striking
+# 3 reads 130 us, 13 about 30 us (a prime below 64 touches every cache line)
+# and 89 about 19 us. Striking 97 reads 16 us, so a group past 89 would save
+# a few us per segment of 1-5 ms, and the primes above 89 are struck.
 _PRESIEVE_GROUPS = (
-    (17, 19, 23), (29, 31), (37, 41), (43, 47), (53, 59), (61, 67), (71, 73), (79, 83), (89,)
+    (23, 89), (29, 83), (31, 79), (5, 7, 73), (37, 71),
+    (41, 67), (43, 61), (47, 59), (3, 17, 53), (11, 13, 19),
 )
 _PRESIEVE_TOP = 89
 # Every odd prime the patterns clear, as bits of odd indices: bit q // 2 for the prime q.
-_PATTERN_BITS = sum(1 << (q // 2) for q in _WHEEL_PRIMES + sum(_PRESIEVE_GROUPS, ()))
+_PATTERN_BITS = sum(1 << (q // 2) for q in sum(_PRESIEVE_GROUPS, ()))
 
 
 @functools.cache
 def _presieve() -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Each presieve group's pattern, built on the first sieve: 494 544 bytes of words in all."""
+    """Each presieve group's pattern, built on the first sieve: 410 368 bytes of words in all."""
     return tuple(_presieve_pattern(g) for g in _PRESIEVE_GROUPS)
 
 
@@ -240,22 +228,24 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray, buf: np.ndarray) -> np.
     bit from n on is 0. `primes` are the base primes in order from 2, up to
     at least isqrt(hi), and `buf` is a contiguous bool array of at least
     64 entries per word, from `_segment_buffer`, whose head the flags of
-    the segment are sieved in, one byte per odd integer. The flags start as
-    the wheel pattern, rotated to the segment; each base prime p above
-    _PRESIEVE_TOP strikes its odd multiples from max(p^2, lo) on, p flags
-    apart. They are packed once, and each presieve group then clears the
-    odd multiples of its primes with one AND of its pattern, rotated to
-    the segment: word w of the segment is word (lo // 2 + 64 w) * 64^-1
-    mod P of a pattern with period P. Last, the bits of the pattern primes
-    inside the segment are set back, and that of the integer 1 cleared.
+    the segment are sieved in, one byte per odd integer. The buffer is
+    refilled on every call, ones over the n flags and zeros up to the end
+    of the last word, so what it held before does not matter; each base
+    prime p above _PRESIEVE_TOP strikes its odd multiples from
+    max(p^2, lo) on, p flags apart. The bytes are packed once, and each
+    presieve group then clears the odd multiples of its primes, every odd
+    prime up to _PRESIEVE_TOP among them, with one AND of its pattern,
+    rotated to the segment: word w of the segment is word
+    (lo // 2 + 64 w) * 64^-1 mod P of a pattern with period P. Last, the
+    bits of the pattern primes inside the segment are set back, and that
+    of the integer 1 cleared.
     """
     base = lo // 2
     n = (hi + 1) // 2 - base
+    size = max(1, -(-n // 64))
     flags = buf[:n]
-    # One broadcast copy of the period starting at odd index `base`, then the tail.
-    rot, m = base % _WHEEL, n // _WHEEL
-    flags[: m * _WHEEL].reshape(m, _WHEEL)[:] = _WHEEL_FLAGS[rot : rot + _WHEEL]
-    flags[m * _WHEEL :] = _WHEEL_FLAGS[rot : rot + n - m * _WHEEL]
+    flags[:] = True
+    buf[n : 64 * size] = False
     first = int(np.searchsorted(primes, _PRESIEVE_TOP, side="right"))
     cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     ps = primes[first:cut]
@@ -264,8 +254,6 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray, buf: np.ndarray) -> np.
     starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps)
     for p, at in zip(ps.tolist(), (starts // 2 - base).tolist()):
         flags[at::p] = False
-    size = max(1, -(-n // 64))
-    buf[n : 64 * size] = False
     words = np.packbits(buf[: 64 * size], bitorder="little").view(np.uint64)
     for period, inverse, pattern in _presieve():
         r = base * inverse % period  # the pattern word under the segment's word 0

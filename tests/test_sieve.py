@@ -645,10 +645,10 @@ def plain_sieve(n: int) -> np.ndarray:
 
 
 PLAIN = plain_sieve(2_000_000)
-WHEEL_SPAN = 30_030  # integers per period of the kernel's pre-sieved pattern
+WHEEL_SPAN = 30_030  # 3 * 5 * 7 * 11 * 13: windows start and end about its multiples
 PRESIEVE_CAP = 2**13  # the most words in one presieve group's period
 PRESIEVE_BYTES = 500_000  # the bound the README states for the presieve patterns
-# The odd primes the wheel and the presieve patterns clear, and the kernel sets back.
+# The odd primes the presieve patterns clear, and the kernel sets back.
 PATTERN_PRIMES = [q for q in range(3, sieve._PRESIEVE_TOP + 1) if trial_is_prime(q)]
 
 
@@ -696,14 +696,23 @@ class TestSegmentWords:
         width=st.integers(0, 70_000) | st.integers(WHEEL_SPAN - 40, WHEEL_SPAN + 40),
         extra=st.integers(0, 300),
         spare=st.integers(0, 5000),
+        prior=st.sampled_from(["ones", "zeros"]) | st.integers(0, 2**32 - 1),
     )
-    def test_matches_plain_sieve(self, lo, width, extra, spare):
-        # Windows from 0, short and long, across the wheel period, each with a
-        # basis at least up to isqrt(hi), sieved in a buffer of ones, exactly
-        # as long as `_segment_buffer` makes it or longer.
+    def test_matches_plain_sieve(self, lo, width, extra, spare, prior):
+        # Windows from 0, short and long, across 3 * 5 * 7 * 11 * 13, each with
+        # a basis at least up to isqrt(hi), sieved in a buffer exactly as long
+        # as `_segment_buffer` makes it or longer. The buffer holds ones, zeros
+        # or random bools (seeded by `prior`) before the call: the kernel must
+        # not read what an earlier segment left in it.
         hi = lo + width
         primes = build_basis(max(2, math.isqrt(hi) + extra)).primes
-        buf = np.ones(len(sieve._segment_buffer(width + 1)) + spare, dtype=bool)
+        length = len(sieve._segment_buffer(width + 1)) + spare
+        if prior == "ones":
+            buf = np.ones(length, dtype=bool)
+        elif prior == "zeros":
+            buf = np.zeros(length, dtype=bool)
+        else:
+            buf = np.random.default_rng(prior).integers(0, 2, length).astype(bool)
         check_segment(lo, hi, primes, buf)
 
     @settings(max_examples=300, deadline=None)
@@ -717,10 +726,10 @@ class TestSegmentWords:
         check_segment(lo, hi, primes, sieve._segment_buffer(hi - lo + 1))
 
     def test_presieve_groups(self):
-        # The groups hold exactly the primes in (13, T], each period within the
-        # cap, and their patterns within the size the README states.
+        # The groups hold exactly the odd primes from 3 to T, each period within
+        # the cap, and their patterns within the size the README states.
         held = sorted(q for group in sieve._PRESIEVE_GROUPS for q in group)
-        assert held == [q for q in range(14, sieve._PRESIEVE_TOP + 1) if trial_is_prime(q)]
+        assert held == PATTERN_PRIMES
         assert all(math.prod(group) <= PRESIEVE_CAP for group in sieve._PRESIEVE_GROUPS)
         patterns = sieve._presieve()
         assert [period for period, _, _ in patterns] == list(map(math.prod, sieve._PRESIEVE_GROUPS))
