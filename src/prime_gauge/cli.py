@@ -17,6 +17,9 @@ from .sieve import DEFAULT_BUDGET
 
 BUDGET_ENV_VAR = "PRIME_GAUGE_BUDGET"
 MIN_BUDGET = 10_000
+# The most n one leg-scan may take: a scan holds about 0.9 KB per n (its grid,
+# records and CSV), so 2^18 n peak near 0.26 GB.
+LEG_SCAN_CAP = 1 << 18
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -108,6 +111,11 @@ def _dispatch(args: argparse.Namespace, budget: int) -> tuple:
         if args.start > args.stop:
             raise UsageError("the improved_legendre scan has an empty grid; a scan of nothing cannot pass")
         leg_range_top(args.start, args.stop, budget=budget)  # refused before the grid is built
+        if args.stop - args.start + 1 > LEG_SCAN_CAP:
+            raise BudgetError(
+                f"leg-scan --from {args.start} --to {args.stop} takes "
+                f"{args.stop - args.start + 1} n, above the cap {LEG_SCAN_CAP}"
+            )
         grid = [{"n": n} for n in range(args.start, args.stop + 1)]
         records = run_scan("improved_legendre", grid, budget=budget)
         return records, records

@@ -10,18 +10,19 @@ which counts the primes in many intervals at once behind `count_primes`,
 The kernel stores and marks odd integers only, and returns a segment [lo, hi]
 as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
 so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
-is 0. Every consumer counts the prime 2 itself. The kernel sieves in one
-reused buffer of one byte per odd integer, filled with ones, which only
-the base primes above 89 strike. It packs the bytes once into words,
-where one AND per group of the odd primes from 3 to 89 clears their
-multiples with a precomputed pattern of packed words, rotated to the
-segment. The span counter ranks those words per segment, a `PiTable` growth
-copies them into its blocks, 1/16 byte per integer, and the base primes
-unpack them. Both batched counts read the bits through one rank, `_rank`:
-one cumulative bit count over the words answers every position in a segment
-or a block at once. The scalar `PiTable.pi` and `nth` read one sub-block
-instead. The span counter takes its intervals as an (m, 2) int64 array and
-merges the runs it sieves in numpy, with no Python step per interval.
+is 0. Every consumer counts the prime 2 itself. The kernel sieves each
+segment in its own flags of one byte per odd integer, filled with ones,
+which only the base primes above 89 that land in the segment strike. It
+packs the bytes once into words, where one AND per group of the odd primes
+from 3 to 89 clears their multiples with a precomputed pattern of packed
+words, rotated to the segment. The span counter ranks those words per
+segment, a `PiTable` growth copies them into its blocks, 1/16 byte per
+integer, and the base primes unpack them. Both batched counts read the
+bits through one rank, `_rank`: one cumulative bit count over the words
+answers every position in a segment or a block at once. The scalar
+`PiTable.pi` and `nth` read one sub-block instead. The span counter takes
+its intervals as an (m, 2) int64 array and merges the runs it sieves in
+numpy, with no Python step per interval.
 """
 
 from __future__ import annotations
@@ -95,9 +96,8 @@ def _primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit, sieved from the primes up to isqrt(limit)."""
     seed = _primes_upto(math.isqrt(limit)) if limit >= 4 else np.zeros(0, dtype=np.int64)
     primes = [np.array([2], dtype=np.int64)] if limit >= 2 else []
-    buf = _segment_buffer(min(DEFAULT_SEGMENT_SIZE, limit + 1))
     for lo in range(0, limit + 1, DEFAULT_SEGMENT_SIZE):
-        words = _segment_words(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, limit), seed, buf)
+        words = _segment_words(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, limit), seed)
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
         primes.append((lo | 1) + 2 * np.flatnonzero(bits))
     return np.concatenate(primes)
@@ -211,31 +211,22 @@ def _presieve() -> tuple[tuple[int, int, np.ndarray], ...]:
     return tuple(_presieve_pattern(g) for g in _PRESIEVE_GROUPS)
 
 
-def _segment_buffer(width: int) -> np.ndarray:
-    """A bool buffer for `_segment_words` over segments of at most `width` integers.
-
-    Such a segment holds at most width // 2 + 1 odd integers, so whole words
-    of width // 128 + 1 cover them.
-    """
-    return np.empty(64 * (width // 128 + 1), dtype=bool)
-
-
-def _segment_words(lo: int, hi: int, primes: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """Prime bits for the odd integers in [lo, hi], packed into uint64 words.
 
     Bit i, bit i % 64 of word i // 64, stands for (lo | 1) + 2i; the words
     number max(1, ceil(n / 64)) for the segment's n odd integers, and every
     bit from n on is 0. `primes` are the base primes in order from 2, up to
-    at least isqrt(hi), and `buf` is a contiguous bool array of at least
-    64 entries per word, from `_segment_buffer`, whose head the flags of
-    the segment are sieved in, one byte per odd integer. The buffer is
-    refilled on every call, ones over the n flags and zeros up to the end
-    of the last word, so what it held before does not matter; each base
-    prime p above _PRESIEVE_TOP strikes its odd multiples from
-    max(p^2, lo) on, p flags apart. The bytes are packed once, and each
-    presieve group then clears the odd multiples of its primes, every odd
-    prime up to _PRESIEVE_TOP among them, with one AND of its pattern,
-    rotated to the segment: word w of the segment is word
+    at least isqrt(hi). The flags of the segment, one byte per odd integer,
+    are ones over the n flags and zeros up to the end of the last word;
+    each base prime p above _PRESIEVE_TOP and up to isqrt(hi) strikes its
+    odd multiples from max(p^2, lo) on, p flags apart. A prime p <= n always
+    lands, since its first odd multiple lies within p flags of lo or is
+    p^2 <= hi; when a larger one strikes, only the primes whose first odd
+    multiple lies inside the segment are kept. The bytes are packed once,
+    and each presieve group then clears the odd multiples of its primes,
+    every odd prime up to _PRESIEVE_TOP among them, with one AND of its
+    pattern, rotated to the segment: word w of the segment is word
     (lo // 2 + 64 w) * 64^-1 mod P of a pattern with period P. Last, the
     bits of the pattern primes inside the segment are set back, and that
     of the integer 1 cleared.
@@ -243,18 +234,20 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray, buf: np.ndarray) -> np.
     base = lo // 2
     n = (hi + 1) // 2 - base
     size = max(1, -(-n // 64))
-    flags = buf[:n]
-    flags[:] = True
-    buf[n : 64 * size] = False
+    flags = np.ones(64 * size, dtype=bool)
+    flags[n:] = False
     first = int(np.searchsorted(primes, _PRESIEVE_TOP, side="right"))
     cut = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     ps = primes[first:cut]
     # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
     # lo (less than lo + 2p) stay exact in int64 for every lo it can serve.
-    starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps)
-    for p, at in zip(ps.tolist(), (starts // 2 - base).tolist()):
+    starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps) // 2 - base
+    if len(ps) and ps[-1] > n:
+        hit = starts < n
+        ps, starts = ps[hit], starts[hit]
+    for p, at in zip(ps.tolist(), starts.tolist()):
         flags[at::p] = False
-    words = np.packbits(buf[: 64 * size], bitorder="little").view(np.uint64)
+    words = np.packbits(flags, bitorder="little").view(np.uint64)
     for period, inverse, pattern in _presieve():
         r = base * inverse % period  # the pattern word under the segment's word 0
         k = size // period
@@ -304,8 +297,7 @@ def _count_spans(
     the integers sieved so far, and the prime 2 once cuts[j] >= 2, so a
     span is below[b] - below[a - 1]. `_rank` counts each segment's words
     at all its cuts at once; the words are freed before the next segment
-    is sieved. Every segment is sieved in one buffer, sized for the longest
-    segment swept.
+    is sieved.
     """
     if size < 1:
         raise DomainError(f"segment size must be positive, got {size}")
@@ -324,11 +316,10 @@ def _count_spans(
     cuts = np.sort(ends)  # a repeated cut is counted once per copy
     below = np.empty(len(cuts), dtype=np.int64)
     running = k = 0
-    buf = _segment_buffer(min(size, max(hi - lo + 1 for lo, hi in zip(run_lo, run_hi))))
     for lo, hi in zip(run_lo, run_hi):
         for seg_lo in range(lo, hi + 1, size):
             seg_end = min(seg_lo + size, hi + 1)
-            words = _segment_words(seg_lo, seg_end - 1, primes, buf)
+            words = _segment_words(seg_lo, seg_end - 1, primes)
             # The cuts up to the segment's end; the first segment of a run also
             # takes a - 1 for a span that starts the run, which counts nothing.
             j = int(np.searchsorted(cuts, seg_end))
@@ -454,10 +445,9 @@ class PiTable:
             table_words = bits.view(np.uint64)  # 128 integers per word
             below = np.empty(first + 1 + subs, dtype=np.int64)
             below[: first + 1] = self._below[: first + 1]
-            buf = _segment_buffer(min(DEFAULT_SEGMENT_SIZE, new_limit + 1 - lo))
             for seg_lo in range(lo, new_limit + 1, DEFAULT_SEGMENT_SIZE):
                 seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, new_limit)
-                words = _segment_words(seg_lo, seg_hi, primes, buf)
+                words = _segment_words(seg_lo, seg_hi, primes)
                 # lo and the segment size are multiples of _SUB: a segment starts a
                 # sub-block, and its words end within its last one, sub-block t - 1.
                 s, t = (seg_lo - lo) // _SUB, (seg_hi - lo) // _SUB + 1
@@ -567,8 +557,8 @@ def pi_at_points(
     """pi at every requested point, from one segmented sweep of [0, max(points)].
 
     The sweep costs one sieve up to the largest point however many points
-    are asked for; each point is the count of the span [0, x]. It holds the
-    span counter's one reused segment buffer and nothing afterwards.
+    are asked for; each point is the count of the span [0, x]. It holds one
+    segment's flags and words at a time, and nothing afterwards.
     """
     pts = sorted({int(x) for x in points})
     if not pts:

@@ -178,6 +178,7 @@ class TestExitCodes:
             ("ubcount", "--n", str(10**17), "--k", "10", "--budget", str(10**19)),
             ("nth-bound", "--n", "105097566", "--budget", str(10**19)),
             ("leg-scan", "--from", "1", "--to", str(10**7)),
+            ("leg-scan", "--from", "1", "--to", str(10**7), "--budget", str(10**19)),
         ],
     )
     def test_far_beyond_memory_fails_fast(self, capsys, argv):
@@ -191,6 +192,21 @@ class TestExitCodes:
         if argv[0] == "nth-bound":
             # p_n is about 2.15 * 10^9, far inside the budget: the table cap refuses it.
             assert f"above the cap {_TABLE_CAP}" in err
+        if "--budget" in argv and argv[0] == "leg-scan":
+            # (10^7 + 1)^2 is inside the budget: the cap on the n of one scan refuses it.
+            assert f"--to {10**7} takes {10**7} n, above the cap {cli.LEG_SCAN_CAP}" in err
+
+    @pytest.mark.parametrize("stop", [150, 151])
+    def test_leg_scan_cap_edge(self, capsys, monkeypatch, stop):
+        # With a cap of 100, 51..150 is scanned and 51..151 refused before its grid.
+        monkeypatch.setattr(cli, "LEG_SCAN_CAP", 100)
+        code, out, err = run(capsys, "leg-scan", "--from", "51", "--to", str(stop))
+        if stop == 150:
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == 101  # the header and one row per n
+        else:
+            assert (code, out) == (3, "")
+            assert err == "error: leg-scan --from 51 --to 151 takes 101 n, above the cap 100\n"
 
     @pytest.mark.parametrize(
         "start,stop,budget,cap,error,code",

@@ -650,6 +650,8 @@ PRESIEVE_CAP = 2**13  # the most words in one presieve group's period
 PRESIEVE_BYTES = 500_000  # the bound the README states for the presieve patterns
 # The odd primes the presieve patterns clear, and the kernel sets back.
 PATTERN_PRIMES = [q for q in range(3, sieve._PRESIEVE_TOP + 1) if trial_is_prime(q)]
+# Primes the kernel strikes (above the presieve) whose products stay inside PLAIN.
+STRUCK_PRIMES = [q for q in range(sieve._PRESIEVE_TOP + 1, 1400) if trial_is_prime(q)]
 
 
 def unpacked(words):
@@ -657,10 +659,10 @@ def unpacked(words):
     return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
 
 
-def check_segment(lo, hi, primes, buf):
+def check_segment(lo, hi, primes):
     """The kernel's words for [lo, hi] against the plain sieve, 0 past the segment."""
     want = PLAIN[lo | 1 : hi + 1 : 2]
-    words = sieve._segment_words(lo, hi, primes, buf)
+    words = sieve._segment_words(lo, hi, primes)
     assert len(words) == max(1, -(-len(want) // 64))
     bits = unpacked(words)
     assert np.array_equal(bits[: len(want)], want)
@@ -692,28 +694,31 @@ class TestSegmentWords:
     @given(
         lo=st.integers(0, 40)
         | st.integers(0, 130_000)
+        | st.integers(1_000_000, 1_900_000)
         | st.builds(lambda k, d: k * WHEEL_SPAN + d, st.integers(1, 4), st.integers(-40, 40)),
         width=st.integers(0, 70_000) | st.integers(WHEEL_SPAN - 40, WHEEL_SPAN + 40),
         extra=st.integers(0, 300),
-        spare=st.integers(0, 5000),
-        prior=st.sampled_from(["ones", "zeros"]) | st.integers(0, 2**32 - 1),
     )
-    def test_matches_plain_sieve(self, lo, width, extra, spare, prior):
+    def test_matches_plain_sieve(self, lo, width, extra):
         # Windows from 0, short and long, across 3 * 5 * 7 * 11 * 13, each with
-        # a basis at least up to isqrt(hi), sieved in a buffer exactly as long
-        # as `_segment_buffer` makes it or longer. The buffer holds ones, zeros
-        # or random bools (seeded by `prior`) before the call: the kernel must
-        # not read what an earlier segment left in it.
+        # a basis at least up to isqrt(hi). A short window past 10^6 meets base
+        # primes up to about 1400 whose first odd multiple lies past its end.
         hi = lo + width
         primes = build_basis(max(2, math.isqrt(hi) + extra)).primes
-        length = len(sieve._segment_buffer(width + 1)) + spare
-        if prior == "ones":
-            buf = np.ones(length, dtype=bool)
-        elif prior == "zeros":
-            buf = np.zeros(length, dtype=bool)
-        else:
-            buf = np.random.default_rng(prior).integers(0, 2, length).astype(bool)
-        check_segment(lo, hi, primes, buf)
+        check_segment(lo, hi, primes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pq=st.lists(st.sampled_from(STRUCK_PRIMES), min_size=2, max_size=2).map(sorted),
+        width=st.integers(0, 400),
+    )
+    def test_last_flag_struck_past_the_segment(self, pq, width):
+        # hi = p * q for struck primes p <= q: p alone strikes hi, and in a window
+        # short enough the largest base prime lies past its n flags, so p, whose
+        # one odd multiple in it is its last flag, must be kept.
+        p, q = pq
+        hi = p * q
+        check_segment(max(0, hi - width), hi, build_basis(math.isqrt(hi)).primes)
 
     @settings(max_examples=300, deadline=None)
     @given(window=presieve_windows())
@@ -723,7 +728,7 @@ class TestSegmentWords:
         # rotation: the tail, the wrap-around and the pattern's last word.
         lo, hi = window
         primes = build_basis(max(2, math.isqrt(hi))).primes
-        check_segment(lo, hi, primes, sieve._segment_buffer(hi - lo + 1))
+        check_segment(lo, hi, primes)
 
     def test_presieve_groups(self):
         # The groups hold exactly the odd primes from 3 to T, each period within
@@ -855,9 +860,9 @@ class TestCountSpans:
         sieved = set()
         segment_words = sieve._segment_words
 
-        def recording(lo, hi, *args):
+        def recording(lo, hi, primes):
             sieved.update(range(lo, hi + 1))
-            return segment_words(lo, hi, *args)
+            return segment_words(lo, hi, primes)
 
         monkeypatch.setattr(sieve, "_segment_words", recording)
         spans = [(10 + size + d, 40 + size), (0, 10), (10 + size + d, 40 + size)]
