@@ -212,8 +212,9 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
     primes strictly inside (n, kn), so the reported threshold is valid for
     the open-interval reading as well.
 
-    The table grows to k * scan_limit first, so a scan beyond its cap is
-    refused before any sieving. The scan then takes the n in chunks of 2^16
+    The table grows to k * scan_limit first, sieved from 0 as its batched
+    queries need, with no window for a first large pi, so a scan beyond its
+    cap is refused before any sieving. The scan then takes the n in chunks of 2^16
     and counts each chunk's intervals with two batched pi queries,
     pi(kn) - pi(n - 1). Beyond the table's packed bits it holds a few int64
     arrays of one chunk's points and the cumulative bit counts of one
@@ -228,7 +229,7 @@ def threshold_search(k: int, scan_limit: int, table: PiTable) -> ThresholdResult
             f"k * scan_limit = {k * scan_limit} exceeds the budget {table.budget}"
         )
     formula_a = threshold_formula(k)
-    table.pi(k * scan_limit)
+    table._ensure(k * scan_limit)
     last_failing = 0
     for lo in range(1, scan_limit + 1, _SCAN_CHUNK):
         ns = np.arange(lo, min(lo + _SCAN_CHUNK, scan_limit + 1), dtype=np.int64)

@@ -5,7 +5,10 @@ piece, gives the prime bits behind everything that sieves: the base primes,
 `PiTable` (pi(x) and n-th-prime queries over appended blocks of packed bits,
 with the count of primes below every 2^10 integers) and one span counter,
 which counts the primes in many intervals at once behind `count_primes`,
-`pi_at_points` and `leg_many`.
+`pi_at_points` and `leg_many`. One count does not sieve: `_lucy_pi`,
+Lucy's form of Legendre's phi recursion, gives pi(x) in O(x^3/4) time and
+O(sqrt x) memory, so a fresh `PiTable` answers its first large pi(x) from a
+window of one or two blocks below x, not from [0, x].
 
 The kernel stores and marks odd integers only, and returns a segment [lo, hi]
 as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
@@ -52,6 +55,9 @@ _TABLE_CAP = DEFAULT_BUDGET + 1
 # pi(2^31), published (OEIS A007053): a prime index past it names a prime past
 # [0, 2^31], the most a table may sieve, known without sieving.
 _PI_2_31 = 105_097_565
+# An empty PiTable answers its first pi(x) from x = _ANCHOR_MIN on by a window
+# above _lucy_pi, not by sieving [0, x]: the measured crossover (CHANGES.md).
+_ANCHOR_MIN = 1 << 21
 
 # _LOW_BITS[b] keeps the b low bits of a uint64 word.
 _LOW_BITS = np.array([(1 << b) - 1 for b in range(64)], dtype=np.uint64)
@@ -366,6 +372,50 @@ def _dusart_floor(i: int) -> float:
     return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
+def _lucy_pi(x: int) -> int:
+    """pi(x) by Lucy's form of Legendre's phi recursion, in O(x^3/4) time and O(sqrt x) memory.
+
+    S(v) counts the integers in [2, v] left after striking the multiples of
+    the primes below p, each prime itself kept; it starts at v - 1 and ends
+    at pi(v). Striking the prime p removes the integers whose least prime
+    factor is p: S(v) -= S(v // p) - pi(p - 1) for every v >= p^2. Every
+    v read is x // i for some i, so S lives in two int64 arrays of
+    isqrt(x) + 1 entries: small[v] = S(v) for v <= r = isqrt(x), and
+    large[i] = S(x // i) for i <= r. Past the cube root c of x, a prime p
+    strikes only large[i] for i <= x // p^2 < p, which no later prime p'
+    reads (it reads large[i p'], i p' > p), and pi(x) = large[1] reads
+    large[p] for no later p. So the primes from c to r take their updates
+    of large[1] alone, at once: large[p] - small[p - 1] each, read after
+    the primes up to c have been struck.
+    """
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    small = np.arange(-1, r, dtype=np.int64)
+    large = np.empty(r + 1, dtype=np.int64)
+    large[0] = 0
+    large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in range(2, c + 1):
+        sp = int(small[p - 1])  # pi(p - 1), final since p - 1 < p^2
+        if small[p] == sp:
+            continue  # p is composite
+        lim = min(r, x // (p * p))
+        m = min(lim, r // p)  # for i <= m, x // (i p) is large[i p], else a small value
+        struck = np.empty(lim, dtype=np.int64)
+        struck[:m] = large[p : m * p + 1 : p]
+        struck[m:] = small[x // (np.arange(m + 1, lim + 1, dtype=np.int64) * p)]
+        large[1 : lim + 1] -= struck - sp
+        if p * p <= r:  # small[v] -= small[v // p] - sp for v from p^2 to r
+            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
+    ps = np.flatnonzero(np.diff(small[c:])) + c + 1  # the primes in (c, r]
+    return int(large[1] - (large[ps] - small[ps - 1]).sum())
+
+
 def _nth_bit(word: int, r: int) -> int:
     """Position of the r-th set bit (from 1) of `word`, a sub-block of at most 2^9 bits.
 
@@ -382,23 +432,40 @@ def _nth_bit(word: int, r: int) -> int:
     return lo
 
 
+# A PiTable's state: (base, blocks, below, limit), as the PiTable docstring reads them.
+_TableState = tuple[int, list[np.ndarray], np.ndarray, int]
+
+
 class PiTable:
     """Exact pi(x) and n-th-prime queries over a lazily grown sieve.
 
-    The sieved range is kept as blocks of 2^16 integers, each holding one
-    bit per odd integer, 4 KB: bit k of byte b of block j stands for
-    j * 2^16 + 16b + 2k + 1. `_below[s]` is the number of primes, the
-    prime 2 among them, below sub-block s, the 2^10 integers from
-    s * 2^10, whose 512 bits are 64 bytes of its block. So a table holds
-    1/16 byte per integer plus 8 bytes of count per 2^10 integers, about
-    134 + 17 MB at its cap, and `pi` and `nth` read one sub-block. A
-    query past the sieved limit grows the table to the query, or further
-    when it climbs: a growth at least doubles the limit but adds at most
-    one checkpoint stride beyond it, so after queries up to x the table
-    holds at most min(2x, x + checkpoint_stride) integers, never past the
-    budget, in O(log stride + x / stride) growths. Growth appends blocks
-    under a lock; it builds new lists that keep every published block and
-    count, and publishes the new limit last, so queries need no lock.
+    The table holds the integers [base, limit] as blocks of 2^16 integers,
+    each holding one bit per odd integer, 4 KB: bit k of byte b of block j
+    stands for base + j * 2^16 + 16b + 2k + 1. `below[s]` is the number of
+    primes, the prime 2 among them, below sub-block s, the 2^10 integers
+    from base + s * 2^10, whose 512 bits are 64 bytes of its block. So a
+    table holds 1/16 byte per integer plus 8 bytes of count per 2^10
+    integers, about 134 + 17 MB at its cap, and `pi` and `nth` read one
+    sub-block.
+
+    A plain table has base 0. A query past its limit grows it to the
+    query, or further when it climbs: a growth at least doubles the limit
+    but adds at most one checkpoint stride beyond it, so after queries up
+    to x the table holds at most min(2x, x + checkpoint_stride) integers,
+    never past the budget, in O(log stride + x / stride) growths.
+
+    The first `pi(x)` on an empty table with x >= _ANCHOR_MIN sieves a
+    window instead: base is the block boundary at least one block below x,
+    so the window holds 2^16 to 2^17 integers, and the count below it is
+    `_lucy_pi(base - 1)`, with no sieve below base. The window answers
+    `pi(y)` for base <= y <= limit and `nth(i)` for pi(base - 1) < i <=
+    pi(limit); any other request first sieves the table again as the plain
+    table [0, limit] and then grows it as above, so only the first query's
+    cost differs from a plain table's.
+
+    Growth runs under a lock, and publishes (base, blocks, below, limit) as
+    one tuple that keeps every block and count a plain table already held,
+    so queries need no lock: each reads one whole state.
     """
 
     def __init__(
@@ -412,73 +479,54 @@ class PiTable:
             raise DomainError(f"checkpoint stride must be positive, got {checkpoint_stride}")
         self.budget = budget
         self.checkpoint_stride = checkpoint_stride
-        self._blocks: list[np.ndarray] = []  # uint8 views into one array per growth
-        self._below = np.ones(1, dtype=np.int64)  # _below[s] = pi(max(2, s * _SUB - 1))
-        self._limit = 0
+        # blocks are uint8 views into one array per growth; below[0] of a plain table is pi(2).
+        self._state: _TableState = (0, [], np.ones(1, dtype=np.int64), 0)
         self._lock = threading.RLock()
 
     @property
     def sieved_limit(self) -> int:
-        return self._limit
+        """The largest integer the table holds."""
+        return self._state[3]
 
     def _ensure(self, x: int) -> None:
-        if x <= self._limit:
+        """Make the table a plain one that holds x; a window is sieved again from 0."""
+        base, blocks, below, limit = self._state
+        if x <= limit and not base:
             return
         with self._lock:
-            if x <= self._limit:
+            base, blocks, below, limit = self._state
+            if x <= limit and not base:
                 return
             # Within the cap, the base primes stay far below _BASIS_CAP.
             if x + 1 > _TABLE_CAP:
                 raise BudgetError(
                     f"a pi table up to {x} sieves {x + 1} integers, above the cap {_TABLE_CAP}"
                 )
-            # At least double, by at most one stride: a fresh table sieves [0, x].
-            step = min(self._limit, self.checkpoint_stride)
-            new_limit = min(self.budget, _TABLE_CAP - 1, max(x, self._limit + step))
-            full = (self._limit + 1) // _BLOCK  # blocks already complete stay as they are
-            primes = _primes_upto(math.isqrt(new_limit))
-            lo, first = full * _BLOCK, full * _BLOCK // _SUB
-            # Count sub-blocks by integers: a limit of s * _SUB gives sub-block s no odd bit.
-            subs = new_limit // _SUB + 1 - first
-            # One array of bits per growth, whole sub-blocks of them, zero past the limit.
-            bits = np.zeros(subs * _SUB // 16, dtype=np.uint8)
-            table_words = bits.view(np.uint64)  # 128 integers per word
-            below = np.empty(first + 1 + subs, dtype=np.int64)
-            below[: first + 1] = self._below[: first + 1]
-            for seg_lo in range(lo, new_limit + 1, DEFAULT_SEGMENT_SIZE):
-                seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, new_limit)
-                words = _segment_words(seg_lo, seg_hi, primes)
-                # lo and the segment size are multiples of _SUB: a segment starts a
-                # sub-block, and its words end within its last one, sub-block t - 1.
-                s, t = (seg_lo - lo) // _SUB, (seg_hi - lo) // _SUB + 1
-                at = s * _SUB // 128
-                table_words[at : at + len(words)] = words
-                counts = np.bitwise_count(table_words[at : t * _SUB // 128].reshape(t - s, -1))
-                below[first + 1 + s : first + 1 + t] = counts.sum(axis=1)
-            np.cumsum(below[first:], out=below[first:])
-            self._blocks = self._blocks[:full] + [
-                bits[k * _BLOCK // 16 : (k + 1) * _BLOCK // 16]
-                for k in range(new_limit // _BLOCK + 1 - full)
-            ]
-            self._below = below
-            self._limit = new_limit
+            full = 0 if base else (limit + 1) // _BLOCK  # blocks already complete stay as they are
+            if x > limit:  # at least double, by at most one stride: a fresh table sieves [0, x]
+                step = min(limit, self.checkpoint_stride)
+                limit = min(self.budget, _TABLE_CAP - 1, max(x, limit + step))
+            kept = np.ones(1, dtype=np.int64) if base else below[: full * (_BLOCK // _SUB) + 1]
+            self._state = _sieve_blocks(0, blocks[:full], kept, limit)
 
-    def _prefix(self, s: int, n: int) -> int:
-        """The first n bits of sub-block s as an int: bit k stands for s * _SUB + 2k + 1."""
-        j, k = divmod(s, _BLOCK // _SUB)
-        at = k * _SUB // 16  # the sub-block's first byte in its block
-        word = int.from_bytes(self._blocks[j][at : at + (n + 7) // 8], "little")
-        return word & ((1 << n) - 1)
+    def _anchor(self, x: int) -> None:
+        """Make an empty table the window up to x, above Lucy's count of the primes below it."""
+        with self._lock:
+            if self._state[3]:  # another query grew the table first
+                self._ensure(x)
+                return
+            base = (x // _BLOCK - 1) * _BLOCK
+            self._state = _sieve_blocks(base, [], np.array([_lucy_pi(base - 1)]), x)
 
     def _pi_many(self, xs: np.ndarray) -> np.ndarray:
         """pi at each point of an int64 array of points in [0, budget], in the given order.
 
-        The table grows once, to the largest point. Points are grouped by
-        block, so each touched block's 4 KB is read once: pi(x) is the
-        count below block j plus the rank of x's bit among the block's
-        512 words, which `_rank` gives every point of the block from one
-        cumulative count per word. Only one block's word counts are alive
-        at a time.
+        The table grows once, plain, to the largest point. Points are
+        grouped by block, so each touched block's 4 KB is read once: pi(x)
+        is the count below block j plus the rank of x's bit among the
+        block's 512 words, which `_rank` gives every point of the block from
+        one cumulative count per word. Only one block's word counts are
+        alive at a time.
         """
         xs = np.asarray(xs, dtype=np.int64)
         pis = np.zeros(len(xs), dtype=np.int64)
@@ -486,7 +534,7 @@ class PiTable:
         if top < 2:
             return pis
         self._ensure(top)
-        blocks, below = self._blocks, self._below
+        _, blocks, below, _ = self._state
         js = xs // _BLOCK
         order = np.argsort(js, kind="stable")
         for group in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
@@ -504,9 +552,20 @@ class PiTable:
             raise BudgetError(f"pi({x}) exceeds the budget {self.budget}")
         if x < 2:
             return 0
-        self._ensure(x)
-        s = x // _SUB  # the count below x's sub-block, and its bits up to x
-        return int(self._below[s]) + self._prefix(s, (x - s * _SUB + 1) // 2).bit_count()
+        return self._pi(x, anchor=True)
+
+    def _pi(self, x: int, anchor: bool) -> int:
+        """pi(x) for 2 <= x <= budget; with `anchor`, an empty table may become a window."""
+        state = self._state
+        if not state[0] <= x <= state[3]:
+            if anchor and _ANCHOR_MIN <= x < _TABLE_CAP and not state[3]:
+                self._anchor(x)
+            else:
+                self._ensure(x)
+            state = self._state
+        base, blocks, below, _ = state
+        s = (x - base) // _SUB  # the count below x's sub-block, and its bits up to x
+        return int(below[s]) + _prefix(blocks, s, (x - base - s * _SUB + 1) // 2).bit_count()
 
     def nth(self, i: int) -> int:
         if i < 1:
@@ -518,13 +577,17 @@ class PiTable:
             return p
         if _dusart_floor(i) > self.budget:
             raise BudgetError(f"prime #{i} lies beyond the budget {self.budget}")
+        state = self._state
+        if state[0] and state[2][0] < i <= state[2][-1]:  # a window holds p_i
+            return _nth_in(state, i)
         # Rosser: p_i < i (ln i + ln ln i) for i >= 6.
         est = int(i * (math.log(i) + math.log(math.log(i)))) + 2
         top = min(self.budget, _TABLE_CAP - 1)  # the largest integer a table may sieve
         if est > top:
             # Past the cap, p_i is refused at once when known to lie past it.
             capped = top < self.budget
-            if (capped and (i > _PI_2_31 or _dusart_floor(i) > top)) or self.pi(top) < i:
+            known_past = capped and (i > _PI_2_31 or _dusart_floor(i) > top)
+            if known_past or self._pi(top, anchor=False) < i:
                 where = (
                     f"past {top}: its pi table would sieve above the cap {_TABLE_CAP}"
                     if capped
@@ -533,9 +596,57 @@ class PiTable:
                 raise BudgetError(f"prime #{i} lies {where}")
             est = top
         self._ensure(est)
-        below = self._below
-        s = int(np.searchsorted(below, i, side="left")) - 1  # below[s] < i <= below[s + 1]
-        return s * _SUB + 2 * _nth_bit(self._prefix(s, _SUB // 2), i - int(below[s])) + 1
+        return _nth_in(self._state, i)
+
+
+def _sieve_blocks(
+    base: int, blocks: list[np.ndarray], below: np.ndarray, limit: int
+) -> _TableState:
+    """A table state that keeps the complete blocks from base and sieves on from them to limit.
+
+    `below` holds the counts of the kept sub-blocks and the count below the
+    first new one, from which the new counts run on. The new bits are one
+    array per growth, whole sub-blocks of them, zero past the limit.
+    """
+    lo, first = base + len(blocks) * _BLOCK, len(below) - 1
+    primes = _primes_upto(math.isqrt(limit))
+    # Count sub-blocks by integers: a limit of base + s * _SUB gives sub-block s no odd bit.
+    subs = (limit - base) // _SUB + 1 - first
+    bits = np.zeros(subs * _SUB // 16, dtype=np.uint8)
+    table_words = bits.view(np.uint64)  # 128 integers per word
+    counts = np.empty(first + 1 + subs, dtype=np.int64)
+    counts[: first + 1] = below
+    for seg_lo in range(lo, limit + 1, DEFAULT_SEGMENT_SIZE):
+        seg_hi = min(seg_lo + DEFAULT_SEGMENT_SIZE - 1, limit)
+        words = _segment_words(seg_lo, seg_hi, primes)
+        # lo and the segment size are multiples of _SUB: a segment starts a
+        # sub-block, and its words end within its last one, sub-block t - 1.
+        s, t = (seg_lo - lo) // _SUB, (seg_hi - lo) // _SUB + 1
+        at = s * _SUB // 128
+        table_words[at : at + len(words)] = words
+        sums = np.bitwise_count(table_words[at : t * _SUB // 128].reshape(t - s, -1))
+        counts[first + 1 + s : first + 1 + t] = sums.sum(axis=1)
+    np.cumsum(counts[first:], out=counts[first:])
+    new = [
+        bits[k * _BLOCK // 16 : (k + 1) * _BLOCK // 16]
+        for k in range((limit - base) // _BLOCK + 1 - len(blocks))
+    ]
+    return base, blocks + new, counts, limit
+
+
+def _prefix(blocks: list[np.ndarray], s: int, n: int) -> int:
+    """The first n bits of sub-block s as an int: bit k stands for base + s * _SUB + 2k + 1."""
+    j, k = divmod(s, _BLOCK // _SUB)
+    at = k * _SUB // 16  # the sub-block's first byte in its block
+    word = int.from_bytes(blocks[j][at : at + (n + 7) // 8], "little")
+    return word & ((1 << n) - 1)
+
+
+def _nth_in(state: _TableState, i: int) -> int:
+    """The i-th prime, for below[0] < i <= below[-1] of a table state."""
+    base, blocks, below, _ = state
+    s = int(np.searchsorted(below, i, side="left")) - 1  # below[s] < i <= below[s + 1]
+    return base + s * _SUB + 2 * _nth_bit(_prefix(blocks, s, _SUB // 2), i - int(below[s])) + 1
 
 
 def pi(x: int, table: PiTable) -> int:

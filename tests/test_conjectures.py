@@ -33,7 +33,7 @@ from prime_gauge import (
     build_basis,
 )
 
-from prime_gauge import conjectures
+from prime_gauge import conjectures, sieve
 
 from oracles import trial_count, trial_is_prime
 
@@ -236,6 +236,21 @@ class TestThresholdSearch:
         with pytest.raises(BudgetError):
             threshold_search(1000, 10**4, table)
 
+    def test_grows_plainly_with_no_window(self, monkeypatch):
+        # The batched counts read a plain table, so a scan past the window
+        # threshold makes no window that they would sieve again from 0; a
+        # scan past the cap is refused before any work.
+        def refuse(x):
+            raise AssertionError(f"_lucy_pi({x}) ran for a threshold scan")
+
+        monkeypatch.setattr(sieve, "_lucy_pi", refuse)
+        table = PiTable(budget=4 * 2**19 + 4)
+        res = threshold_search(4, 2**19 + 1, table)
+        assert (res.observed_threshold, res.last_failing_n) == (2, 1)
+        assert table.sieved_limit == 4 * 2**19 + 4 >= sieve._ANCHOR_MIN
+        with pytest.raises(BudgetError, match="above the cap"):
+            threshold_search(22, 10**17, PiTable(budget=10**19))
+
     def test_matches_trial_division_scan(self, oracle_100k):
         # Every k in 2..60 and scan limit in 1..400, against the per-n
         # predicate: [n, kn] holds fewer than k primes.
@@ -269,6 +284,7 @@ class TestThresholdSearch:
     def test_long_scan_time_and_memory(self):
         # 4 * 10^6 n in chunks: a few MB of points at a time, not 4 * 10^6 of them.
         table = PiTable(budget=8 * 10**6)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         table.pi(8 * 10**6)
         tracemalloc.start()
         try:

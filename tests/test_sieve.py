@@ -24,7 +24,7 @@ from prime_gauge import (
 )
 
 from prime_gauge import sieve
-from prime_gauge.sieve import INT64_MAX, _checked_mul, _count_spans
+from prime_gauge.sieve import _PI_2_31, INT64_MAX, _checked_mul, _count_spans
 
 from oracles import TrialPrefix, trial_count, trial_is_prime, trial_nth, trial_pi
 
@@ -262,6 +262,7 @@ class TestPiTable:
         # segment boundary at 2^21, the second starts at 3 * 2^20 and crosses
         # one at 5 * 2^20, and the third starts at 3 * 2^21.
         table = PiTable(budget=7 * 10**6, checkpoint_stride=3 * 2**20 + 7)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         assert table.pi(3 * 2**20 + 7) == 226_549
         published = [
             (10**6, 78_498),
@@ -280,6 +281,7 @@ class TestPiTable:
     def test_one_growth_across_segment_boundaries(self):
         # One growth from 0 walks segments of 2^21 integers, so k * 2^21 starts one.
         table = PiTable(budget=4 * 2**21)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         assert table.pi(4 * 2**21) == 564_163
         for k in (1, 2, 3):
             for x in range(k * 2**21 - 64, k * 2**21 + 65):
@@ -290,6 +292,7 @@ class TestPiTable:
         # must not allocate (or copy into) a bitmap of the whole range.
         stride = 2**21
         table = PiTable(budget=8 * stride, checkpoint_stride=stride)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         for j in range(1, 8):
             table.pi(j * stride)
         tracemalloc.start()
@@ -397,9 +400,11 @@ class TestPiTable:
     def test_table_holds_a_sixteenth_of_a_byte_per_integer(self):
         # One bit per odd integer: 2^20 bytes for [0, 2^24] and 2^17 of counts,
         # plus one segment buffer of 2^20 flags and its 2^17 packed bytes.
+        table = PiTable(budget=2**24)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         tracemalloc.start()
         try:
-            assert PiTable(budget=2**24).pi(2**24) == 1_077_871
+            assert table.pi(2**24) == 1_077_871
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,9 +413,11 @@ class TestPiTable:
     def test_growth_sieves_in_place(self):
         # 2^18 bytes of bits for [0, 2^22] beside one segment buffer of 2^20
         # flags, which both segments are sieved into and packed from.
+        table = PiTable(budget=2**22)
+        table.pi(2)  # a small first query: the table grows plainly, with no window
         tracemalloc.start()
         try:
-            assert PiTable(budget=2**22).pi(2**22) == 295_947
+            assert table.pi(2**22) == 295_947
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -528,7 +535,7 @@ class TestNthPrime:
         budget = 3 * 2**16 + 999
         table = PiTable(budget=budget)
         table.pi(budget)
-        assert len(table._below) == budget // 2**10 + 2
+        assert len(table._state[2]) == budget // 2**10 + 2  # the sub-block counts
         primes = np.flatnonzero(PLAIN[: budget + 1]).tolist()
         assert [table.nth(i) for i in range(1, len(primes) + 1)] == primes
         with pytest.raises(BudgetError):
@@ -584,7 +591,159 @@ class TestNthPrime:
             PiTable(budget=17388).nth(2000)
 
 
-def test_concurrent_queries_match_serial():
+# pi(10^k) for k = 1..9 and pi(2 * 10^9), published (OEIS A006880).
+PUBLISHED_PI = {
+    10: 4,
+    10**2: 25,
+    10**3: 168,
+    10**4: 1229,
+    10**5: 9592,
+    10**6: 78_498,
+    10**7: 664_579,
+    10**8: 5_761_455,
+    10**9: 50_847_534,
+    2 * 10**9: 98_222_287,
+}
+
+
+@pytest.fixture(scope="module")
+def table_10m() -> PiTable:
+    table = PiTable(budget=10**7)
+    table.pi(2)  # a small first query: the table grows plainly, with no window
+    table.pi(10**7)
+    return table
+
+
+class TestLucyPi:
+    # The phi recursion and the sieve are independent algorithms.
+
+    def test_published(self):
+        assert {x: sieve._lucy_pi(x) for x in PUBLISHED_PI} == PUBLISHED_PI
+
+    def test_every_small_x(self):
+        assert [sieve._lucy_pi(x) for x in range(5001)] == np.cumsum(PLAIN[:5001]).tolist()
+
+    def test_squares_and_cubes(self):
+        # p^2 - 1, p^2 and p^2 + 1 around the first integer a prime strikes;
+        # x // isqrt(x) == isqrt(x) from r^2 to r^2 + r - 1, where large[r]
+        # and small[r] are both S(r), and r^2 + r just past; c^3 - 1, c^3
+        # and c^3 + 1, where the cube root that splits the primes moves.
+        xs = {p * p + d for p in [2] + PATTERN_PRIMES + STRUCK_PRIMES for d in (-1, 0, 1)}
+        xs |= {r * r + d for r in [*range(1, 100), *range(100, 1414, 11)] for d in (0, r - 1, r)}
+        xs |= {c**3 + d for c in range(1, 126) for d in (-1, 0, 1)}
+        cum = np.cumsum(PLAIN)
+        assert {x: sieve._lucy_pi(x) for x in xs} == {x: int(cum[x]) for x in xs}
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.integers(0, 10**7))
+    def test_matches_pi_table(self, table_10m, x):
+        assert sieve._lucy_pi(x) == table_10m.pi(x)
+
+
+def table_answer(table, op, arg):
+    """A query's answer, or the BudgetError it raised, by type and message."""
+    try:
+        if op == "pi":
+            return table.pi(arg)
+        if op == "nth":
+            return table.nth(arg)
+        return table._pi_many(np.array(arg, dtype=np.int64)).tolist()
+    except BudgetError as exc:
+        return ("BudgetError", str(exc))
+
+
+class TestAnchoredTable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        budget=st.integers(2**17, 2**19),
+        first=st.integers(2**17, 2**19),
+        ops=st.lists(
+            st.tuples(st.just("pi"), st.integers(0, 2**19 + 100))
+            | st.tuples(st.just("pi_near"), st.integers(-70_000, 100))
+            | st.tuples(st.just("nth"), st.integers(1, 45_000))
+            | st.tuples(st.just("nth_near"), st.integers(-7000, 100))
+            | st.tuples(st.just("many"), st.lists(st.integers(0, 2**19), max_size=6)),
+            max_size=8,
+        ),
+    )
+    def test_matches_plain_table(self, budget, first, ops):
+        # With windows from 2^17, a first pi(x) makes a window of one to two
+        # blocks; queries near x or its pi(x) land in it or just below, others
+        # sieve the table again from 0. A plain table answers the same.
+        first = min(first, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_ANCHOR_MIN", 2**17)
+            plain = PiTable(budget=budget)
+            plain.pi(2)  # a small first query: the table grows plainly, with no window
+            table = PiTable(budget=budget)
+            assert table.pi(first) == plain.pi(first)
+            base = table._state[0]
+            assert base == (first // 2**16 - 1) * 2**16 and table.sieved_limit == first
+            for op, arg in ops:
+                if op == "pi_near":
+                    op, arg = "pi", max(0, first + arg)
+                elif op == "nth_near":
+                    op, arg = "nth", max(1, plain.pi(first) + arg)
+                elif op == "many":
+                    arg = [min(x, budget) for x in arg]
+                state = table._state
+                held = state[0] and (
+                    op == "pi" and state[0] <= arg <= state[3]
+                    or op == "nth" and state[2][0] < arg <= state[2][-1]
+                )
+                assert table_answer(table, op, arg) == table_answer(plain, op, arg), (op, arg)
+                if held:
+                    assert table._state is state  # the window answered, with no sieve
+
+    def test_window_edges(self):
+        # The first and last integers and primes a window holds, and the ones
+        # just outside it, each asked of a fresh window.
+        x = 2**21 + 4321
+        base = (x // 2**16 - 1) * 2**16
+        plain = PiTable(budget=x + 10)
+        plain.pi(2)  # a small first query: the table grows plainly, with no window
+        first, last = plain.pi(base - 1) + 1, plain.pi(x)
+        queries = [("pi", y) for y in (base - 1, base, base + 1, x - 1, x, x + 1)]
+        queries += [("nth", i) for i in (first - 1, first, last, last + 1)]
+        for op, arg in queries:
+            table = PiTable(budget=x + 10)
+            table.pi(x)
+            assert table._state[0] == base
+            assert table_answer(table, op, arg) == table_answer(plain, op, arg), (op, arg)
+
+    def test_refused_queries_run_no_lucy(self, monkeypatch):
+        # Budget and cap refusals come before any work, the window's count among it.
+        def refuse(x):
+            raise AssertionError(f"_lucy_pi({x}) ran for a refused query")
+
+        monkeypatch.setattr(sieve, "_lucy_pi", refuse)
+        with pytest.raises(BudgetError, match="above the cap"):
+            PiTable(budget=10**19).pi(10**18)
+        with pytest.raises(BudgetError, match="exceeds the budget"):
+            PiTable(budget=2**22).pi(2**22 + 1)
+        for i in (10**6, 300_000):  # refused by Dusart's floor, then by pi(budget)
+            with pytest.raises(BudgetError, match="beyond the budget"):
+                PiTable(budget=2**22).nth(i)
+        with pytest.raises(BudgetError, match="above the cap"):
+            PiTable(budget=10**19).nth(_PI_2_31 + 1)
+
+    def test_window_memory(self):
+        # Lucy's two int64 arrays of 2^14 + 1 entries and a window of 2^16
+        # integers, against 2^24 bytes of bits for the plain table [0, 2^28].
+        table = PiTable(budget=2**28)
+        tracemalloc.start()
+        try:
+            assert table.pi(2**28) == 14_630_843  # pi(2^28), OEIS A007053
+            assert table.nth(14_630_843) == 2**28 - 57
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table._state[0] == 2**28 - 2**16 and table.sieved_limit == 2**28
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_concurrent_queries_match_serial(monkeypatch, anchored):
     budget = 2 * 10**6
     serial = PiTable(budget=budget)
     queries = []  # per thread: climbing, interleaved pi and nth queries
@@ -594,8 +753,12 @@ def test_concurrent_queries_match_serial():
             x = j * budget // 40 - 97 * t
             own.append(("pi", x))
             own.append(("nth", max(1, serial.pi(x) // 2 + t)))
+        if anchored:  # each thread starts at the top: the first pi makes a window
+            own = own[-2:] + own[:-2]
         queries.append(own)
     expected = {q: getattr(serial, q[0])(q[1]) for own in queries for q in own}
+    if anchored:
+        monkeypatch.setattr(sieve, "_ANCHOR_MIN", 2**17)
     shared = PiTable(budget=budget, checkpoint_stride=1 << 16)
     start = threading.Barrier(len(queries), timeout=30)
     answers: list[list] = [[] for _ in queries]
