@@ -742,8 +742,8 @@ class TestAnchoredTable:
         assert peak < 2**20
 
 
-@pytest.mark.parametrize("anchored", [False, True])
-def test_concurrent_queries_match_serial(monkeypatch, anchored):
+def check_concurrent_queries(anchored: bool) -> None:
+    """Four threads' interleaved pi and nth queries on one shared table match a serial table."""
     budget = 2 * 10**6
     serial = PiTable(budget=budget)
     queries = []  # per thread: climbing, interleaved pi and nth queries
@@ -757,8 +757,6 @@ def test_concurrent_queries_match_serial(monkeypatch, anchored):
             own = own[-2:] + own[:-2]
         queries.append(own)
     expected = {q: getattr(serial, q[0])(q[1]) for own in queries for q in own}
-    if anchored:
-        monkeypatch.setattr(sieve, "_ANCHOR_MIN", 2**17)
     shared = PiTable(budget=budget, checkpoint_stride=1 << 16)
     start = threading.Barrier(len(queries), timeout=30)
     answers: list[list] = [[] for _ in queries]
@@ -781,6 +779,17 @@ def test_concurrent_queries_match_serial(monkeypatch, anchored):
     assert not any(th.is_alive() for th in threads)
     assert [len(a) for a in answers] == [len(q) for q in queries]
     assert all(got == expected[q] for a in answers for q, got in a)
+
+
+def test_concurrent_queries_match_serial():
+    check_concurrent_queries(anchored=False)
+
+
+def test_concurrent_queries_through_a_window(monkeypatch):
+    # With windows from 2^17, the shared table's first pi makes a window that
+    # later queries of every thread sieve again from 0.
+    monkeypatch.setattr(sieve, "_ANCHOR_MIN", 2**17)
+    check_concurrent_queries(anchored=True)
 
 
 def test_prime_two_in_small_spans_and_budgets(oracle_100k):
