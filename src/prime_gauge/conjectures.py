@@ -161,6 +161,7 @@ def interval_count(n: int, k: int, table: PiTable) -> int:
     hi = _checked_mul(n, k)
     if hi - 1 > table.budget:
         raise BudgetError(f"k*n = {hi} exceeds the budget {table.budget}")
+    table._ensure(hi - 1)  # both ends from one plain table: a window at hi - 1 would not hold n
     return table.pi(hi - 1) - table.pi(n)
 
 
@@ -173,6 +174,7 @@ def closed_interval_count(n: int, k: int, table: PiTable) -> int:
     hi = _checked_mul(n, k)
     if hi > table.budget:
         raise BudgetError(f"k*n = {hi} exceeds the budget {table.budget}")
+    table._ensure(hi)  # both ends from one plain table, as in interval_count
     return table.pi(hi) - table.pi(n - 1)
 
 

@@ -8,7 +8,10 @@ which counts the primes in many intervals at once behind `count_primes`,
 `pi_at_points` and `leg_many`. One count does not sieve: `_lucy_pi`,
 Lucy's form of Legendre's phi recursion, gives pi(x) in O(x^3/4) time and
 O(sqrt x) memory, so a fresh `PiTable` answers its first large pi(x) from a
-window of one or two blocks below x, not from [0, x].
+window of one or two blocks below x, not from [0, x]. It divides x by each
+i up to sqrt x once and reads x // (i p) as (x // i) // p, and its counts
+of the integers up to v are final for every v below (cbrt x + 1)^2, past
+sqrt x, so the window takes its base primes from them too.
 
 The kernel stores and marks odd integers only, and returns a segment [lo, hi]
 as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
@@ -372,48 +375,63 @@ def _dusart_floor(i: int) -> float:
     return i * (math.log(i) + math.log(math.log(i)) - 1) * (1 - 1e-9) - 1
 
 
-def _lucy_pi(x: int) -> int:
+def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     """pi(x) by Lucy's form of Legendre's phi recursion, in O(x^3/4) time and O(sqrt x) memory.
 
     S(v) counts the integers in [2, v] left after striking the multiples of
     the primes below p, each prime itself kept; it starts at v - 1 and ends
     at pi(v). Striking the prime p removes the integers whose least prime
     factor is p: S(v) -= S(v // p) - pi(p - 1) for every v >= p^2. Every
-    v read is x // i for some i, so S lives in two int64 arrays of
-    isqrt(x) + 1 entries: small[v] = S(v) for v <= r = isqrt(x), and
-    large[i] = S(x // i) for i <= r. Past the cube root c of x, a prime p
-    strikes only large[i] for i <= x // p^2 < p, which no later prime p'
-    reads (it reads large[i p'], i p' > p), and pi(x) = large[1] reads
-    large[p] for no later p. So the primes from c to r take their updates
-    of large[1] alone, at once: large[p] - small[p - 1] each, read after
-    the primes up to c have been struck.
+    v read is x // i for some i, so S lives in int64 arrays: small[v] = S(v)
+    for v <= r = isqrt(x), and large[i - 1] = S(q[i - 1]) for i <= r, where
+    the quotients q[i - 1] = x // i are divided once. Striking p, large[i - 1]
+    reads S(x // (i p)): large[i p - 1] while i p <= r, else
+    small[q[i - 1] // p], since x // (i p) = (x // i) // p, so numpy divides
+    one array by one scalar. Past the cube root c of x, a prime p strikes
+    only large[i - 1] for i <= x // p^2 < p, which no later prime p' reads
+    (it reads i p' > p), and pi(x) = large[0] reads large[p - 1] for no
+    later p. So the primes from c to r take their updates of large[0] alone,
+    at once: large[p - 1] - small[p - 1] each, read after the primes up to c
+    have been struck. By then small[v] = pi(v) for every v < (c + 1)^2, past
+    r, since only a prime p <= isqrt(v) <= c strikes S(v). Given `reach`,
+    small runs out to max(r, reach), and the primes up to there, where small
+    steps, come back beside pi(x); a reach that would need a prime above c
+    is refused.
     """
-    if x < 2:
-        return 0
     r = math.isqrt(x)
     c = round(x ** (1 / 3))
     while c**3 > x:
         c -= 1
     while (c + 1) ** 3 <= x:
         c += 1
-    small = np.arange(-1, r, dtype=np.int64)
-    large = np.empty(r + 1, dtype=np.int64)
-    large[0] = 0
-    large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
+    if reach is not None and math.isqrt(reach) > c:
+        raise DomainError(f"Lucy's counts up to {reach} need primes above the cube root {c} of {x}")
+    if x < 2:
+        return 0 if reach is None else (0, _primes_upto(reach))
+    top = max(r, reach or 0)
+    small = np.arange(-1, top, dtype=np.int64)
+    q = x // np.arange(1, r + 1, dtype=np.int64)
+    large = q - 1
     for p in range(2, c + 1):
         sp = int(small[p - 1])  # pi(p - 1), final since p - 1 < p^2
         if small[p] == sp:
             continue  # p is composite
         lim = min(r, x // (p * p))
-        m = min(lim, r // p)  # for i <= m, x // (i p) is large[i p], else a small value
-        struck = np.empty(lim, dtype=np.int64)
-        struck[:m] = large[p : m * p + 1 : p]
-        struck[m:] = small[x // (np.arange(m + 1, lim + 1, dtype=np.int64) * p)]
-        large[1 : lim + 1] -= struck - sp
-        if p * p <= r:  # small[v] -= small[v // p] - sp for v from p^2 to r
-            small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r + 1 - p * p] - sp
-    ps = np.flatnonzero(np.diff(small[c:])) + c + 1  # the primes in (c, r]
-    return int(large[1] - (large[ps] - small[ps - 1]).sum())
+        m = min(lim, r // p)  # for i <= m, x // (i p) is q[i p - 1], else a small value
+        head, tail = large[:m], large[m:lim]
+        head -= large[p - 1 : m * p : p]
+        head += sp
+        tail -= small[q[m:lim] // p]
+        tail += sp
+        if p * p <= top:  # small[v] -= small[v // p] - sp for v from p^2 to top, p at a time
+            k = (top + 1) // p  # the v past k p - 1 share v // p = k
+            small[k * p :] -= small[k] - sp
+            rows = small[p * p : k * p].reshape(-1, p)
+            rows -= small[p:k, None] - sp
+    primes = np.flatnonzero(np.diff(small[1:])) + 2  # small steps at each prime up to top
+    ps = primes[np.searchsorted(primes, c, side="right") : np.searchsorted(primes, r, side="right")]
+    count = int(large[0] - (large[ps - 1] - small[ps - 1]).sum())
+    return count if reach is None else (count, primes)
 
 
 def _nth_bit(word: int, r: int) -> int:
@@ -457,7 +475,8 @@ class PiTable:
     The first `pi(x)` on an empty table with x >= _ANCHOR_MIN sieves a
     window instead: base is the block boundary at least one block below x,
     so the window holds 2^16 to 2^17 integers, and the count below it is
-    `_lucy_pi(base - 1)`, with no sieve below base. The window answers
+    `_lucy_pi(base - 1)`, with no sieve below base; Lucy's counts, run out
+    to isqrt(x), give the window its base primes too. The window answers
     `pi(y)` for base <= y <= limit and `nth(i)` for pi(base - 1) < i <=
     pi(limit); any other request first sieves the table again as the plain
     table [0, limit] and then grows it as above, so only the first query's
@@ -507,7 +526,8 @@ class PiTable:
                 step = min(limit, self.checkpoint_stride)
                 limit = min(self.budget, _TABLE_CAP - 1, max(x, limit + step))
             kept = np.ones(1, dtype=np.int64) if base else below[: full * (_BLOCK // _SUB) + 1]
-            self._state = _sieve_blocks(0, blocks[:full], kept, limit)
+            primes = _primes_upto(math.isqrt(limit))
+            self._state = _sieve_blocks(0, blocks[:full], kept, limit, primes)
 
     def _anchor(self, x: int) -> None:
         """Make an empty table the window up to x, above Lucy's count of the primes below it."""
@@ -516,7 +536,8 @@ class PiTable:
                 self._ensure(x)
                 return
             base = (x // _BLOCK - 1) * _BLOCK
-            self._state = _sieve_blocks(base, [], np.array([_lucy_pi(base - 1)]), x)
+            count, primes = _lucy_pi(base - 1, reach=math.isqrt(x))
+            self._state = _sieve_blocks(base, [], np.array([count]), x, primes)
 
     def _pi_many(self, xs: np.ndarray) -> np.ndarray:
         """pi at each point of an int64 array of points in [0, budget], in the given order.
@@ -600,16 +621,16 @@ class PiTable:
 
 
 def _sieve_blocks(
-    base: int, blocks: list[np.ndarray], below: np.ndarray, limit: int
+    base: int, blocks: list[np.ndarray], below: np.ndarray, limit: int, primes: np.ndarray
 ) -> _TableState:
     """A table state that keeps the complete blocks from base and sieves on from them to limit.
 
     `below` holds the counts of the kept sub-blocks and the count below the
-    first new one, from which the new counts run on. The new bits are one
-    array per growth, whole sub-blocks of them, zero past the limit.
+    first new one, from which the new counts run on; `primes` are the base
+    primes from 2 up to at least isqrt(limit). The new bits are one array
+    per growth, whole sub-blocks of them, zero past the limit.
     """
     lo, first = base + len(blocks) * _BLOCK, len(below) - 1
-    primes = _primes_upto(math.isqrt(limit))
     # Count sub-blocks by integers: a limit of base + s * _SUB gives sub-block s no odd bit.
     subs = (limit - base) // _SUB + 1 - first
     bits = np.zeros(subs * _SUB // 16, dtype=np.uint8)

@@ -1,0 +1,28 @@
+"""Smoke test of tools/ab.py, the pair runner: one pair at tiny size."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_one_pair_names_every_end_to_end_metric(tmp_path):
+    out = tmp_path / "ab.json"
+    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--workload", "pi_large",
+           "--pairs", "1", "--seeds", "3-3", "--seconds", "1", "--size", "tiny", "--out", str(out)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result == json.loads(proc.stdout.strip().splitlines()[-1])
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(result["metrics"]) == names
+    assert [(r["pair"], r["seed"], r["side"], r["first"]) for r in result["runs"]] == [
+        (0, 3, "parent", True), (0, 3, "change", False)
+    ]
+    assert all(r["correct"] and not r["failed"] and list(r["metrics"]) == names
+               for r in result["runs"])
+    for m in result["metrics"].values():
+        assert m["pairs"] == 1 and m["beyond_iqr"] is None
+        assert [len(m[side]["values"]) for side in ("parent", "change")] == [1, 1]

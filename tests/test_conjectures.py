@@ -160,6 +160,24 @@ class TestIntervalCount:
         with pytest.raises(BudgetError):
             interval_count(1, 10_002, PiTable(budget=10_000))
 
+    def test_fresh_table_grows_plainly(self, monkeypatch):
+        # From 2^21 on, a fresh table's first pi at the top end would anchor a
+        # window that pi at n, below it, throws away; the counts grow the
+        # table plainly to the top end first and make no window.
+        n, k = 2**21 + 3, 2
+        plain = PiTable(budget=n * k)
+        plain.pi(2)  # a small first query: the table grows plainly, with no window
+        want = (interval_count(n, k, plain), closed_interval_count(n, k, plain))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"_lucy_pi{args} ran for an interval count")
+
+        monkeypatch.setattr(sieve, "_lucy_pi", refuse)
+        for count, top in ((interval_count, n * k - 1), (closed_interval_count, n * k)):
+            table = PiTable(budget=n * k)
+            assert count(n, k, table) == want[count is closed_interval_count]
+            assert table._state[0] == 0 and table.sieved_limit == top
+
     def test_overflow(self, table_2m):
         from prime_gauge import RangeOverflowError
 

@@ -640,6 +640,74 @@ class TestLucyPi:
         assert sieve._lucy_pi(x) == table_10m.pi(x)
 
 
+def icbrt(x: int) -> int:
+    """The integer cube root of x >= 0."""
+    c = round(x ** (1 / 3))
+    while c**3 > x:
+        c -= 1
+    while (c + 1) ** 3 <= x:
+        c += 1
+    return c
+
+
+def window_primes(monkeypatch, x: int) -> np.ndarray:
+    """The base primes a fresh table's first pi(x) hands `_sieve_blocks`, checked against Lucy."""
+    handed = []
+    grow = sieve._sieve_blocks
+
+    def spy(base, blocks, below, limit, primes):
+        handed.append(primes)
+        return grow(base, blocks, below, limit, primes)
+
+    monkeypatch.setattr(sieve, "_sieve_blocks", spy)
+    table = PiTable(budget=x)
+    assert table.pi(x) == sieve._lucy_pi(x)
+    assert table._state[0] == (x // 2**16 - 1) * 2**16 and len(handed) == 1
+    return handed[0]
+
+
+class TestLucyReach:
+    def test_pi_1e10(self):
+        assert sieve._lucy_pi(10**10) == 455_052_511  # OEIS A006880
+
+    @pytest.mark.parametrize(
+        "x",
+        [2**17, 2**21 - 1, 2**21, 2**21 + 1]
+        + [j * 2**16 + d for j in (3, 33, 1000, 2**15 - 1) for d in (-1, 0, 1)]
+        + [2**31 - 1, 2**31],
+    )
+    def test_window_primes_are_the_basis(self, monkeypatch, x):
+        # With windows from 2^17, the smallest window the anchored tests make;
+        # at and about block boundaries, where the window's base moves.
+        monkeypatch.setattr(sieve, "_ANCHOR_MIN", 2**17)
+        assert np.array_equal(window_primes(monkeypatch, x), sieve._primes_upto(math.isqrt(x)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(x=st.integers(2**21, 2**31))
+    def test_window_primes_at_random_x(self, x):
+        with pytest.MonkeyPatch.context() as mp:
+            primes = window_primes(mp, x)
+        assert np.array_equal(primes, sieve._primes_upto(math.isqrt(x)))
+
+    @pytest.mark.parametrize("x", [1, 2, 7, 8, 1000, 10**6 + 3, 2**24])
+    def test_reach_guard(self, x):
+        # small is final up to (c + 1)^2 - 1 once the primes up to c are struck;
+        # a reach from (c + 1)^2 on would need c + 1, and is refused.
+        c = icbrt(x)
+        count, primes = sieve._lucy_pi(x, reach=(c + 1) ** 2 - 1)
+        assert count == sieve._lucy_pi(x)
+        assert np.array_equal(primes, sieve._primes_upto((c + 1) ** 2 - 1))
+        with pytest.raises(DomainError, match="above the cube root"):
+            sieve._lucy_pi(x, reach=(c + 1) ** 2)
+
+    def test_every_window_reach_is_final(self):
+        # A window's reach isqrt(x) needs only primes up to the cube root of
+        # base - 1, for every block of x from the smallest window on.
+        for j in range(2, 2**15 + 1):
+            top, base = min((j + 1) * 2**16 - 1, 2**31), (j - 1) * 2**16
+            assert math.isqrt(math.isqrt(top)) <= icbrt(base - 1)
+
+
 def table_answer(table, op, arg):
     """A query's answer, or the BudgetError it raised, by type and message."""
     try:
