@@ -109,8 +109,8 @@ def main(argv: list[str] | None = None) -> int:
                 runs.append({"pair": i, "seed": seed, "side": side, "first": side == order[0],
                              "correct": result["correct"],
                              "attempted": result["attempted"], "failed": result["failed"],
-                             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-                             "units": {k: m["unit"] for k, m in result["metrics"].items()}})
+                             "metrics": {k: m["value"] for k, m in result["metrics"].items()}})
+                units = {k: m["unit"] for k, m in result["metrics"].items()}
                 print(f"pair {i} seed {seed} {side:6s} correct={result['correct']} "
                       f"failed={result['failed']}/{result['attempted']}", file=sys.stderr, flush=True)
 
@@ -121,15 +121,15 @@ def main(argv: list[str] | None = None) -> int:
           f"{shas['change'][:7]}; median [parent Q1, Q3] -> change")
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        if name not in runs[0]["metrics"]:
+        if name not in units:
             continue
-        s = summary["metrics"][name] = compare(runs, name, metric["better"])
+        s = summary["metrics"][name] = {"unit": units[name], **compare(runs, name, metric["better"])}
         parent, change = s["parent"], s["change"]
         quartiles = f" [{parent['q1']:.5g}, {parent['q3']:.5g}]" if "q1" in parent else ""
         rel = (change["median"] / parent["median"] - 1) * 100 if parent["median"] else float("nan")
         beyond = {True: "yes", False: "no", None: "n/a"}[s["beyond_iqr"]]
         print(f"  {name:12s} {parent['median']:.5g}{quartiles} -> {change['median']:.5g} "
-              f"{runs[0]['units'][name]} ({rel:+.1f} %), change better in {s['wins']}/{s['pairs']}, "
+              f"{units[name]} ({rel:+.1f} %), change better in {s['wins']}/{s['pairs']}, "
               f"better by more than the parent's IQR: {beyond}")
     bad = [r for r in runs if not r["correct"] or r["failed"]]
     print(f"  runs with a failed call: {len(bad)} of {len(runs)}")
