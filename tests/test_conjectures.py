@@ -165,17 +165,18 @@ class TestIntervalCount:
         # window that pi at n, below it, throws away; the counts grow the
         # table plainly to the top end first and make no window.
         n, k = 2**21 + 3, 2
+        cases = [(interval_count, n * k - 1), (closed_interval_count, n * k)]
         plain = PiTable(budget=n * k)
         plain.pi(2)  # a small first query: the table grows plainly, with no window
-        want = (interval_count(n, k, plain), closed_interval_count(n, k, plain))
+        want = [count(n, k, plain) for count, _ in cases]
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"_lucy_pi{args} ran for an interval count")
 
         monkeypatch.setattr(sieve, "_lucy_pi", refuse)
-        for count, top in ((interval_count, n * k - 1), (closed_interval_count, n * k)):
+        for (count, top), answer in zip(cases, want):
             table = PiTable(budget=n * k)
-            assert count(n, k, table) == want[count is closed_interval_count]
+            assert count(n, k, table) == answer
             assert table._state[0] == 0 and table.sieved_limit == top
 
     def test_overflow(self, table_2m):
