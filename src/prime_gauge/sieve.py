@@ -9,31 +9,34 @@ which counts the primes in many intervals at once behind `count_primes`,
 Lucy's form of Legendre's phi recursion, gives pi(x) in O(x^3/4) time and
 O(sqrt x) memory, so a fresh `PiTable` answers its first large pi(x) from a
 window of one or two blocks below x, not from [0, x]. It divides x by each
-i up to sqrt x once and reads x // (i p) as (x // i) // p, and its counts
-of the integers up to v are final for every v below (cbrt x + 1)^2, past
-sqrt x, so the window takes its base primes from them too.
+i up to sqrt x once and reads x // (i p) as (x // i) // p, strikes its
+counts at those quotients with the primes up to the fourth root of x only,
+and sums Meissel's pairs for the rest. Its counts of the integers up to
+sqrt x are final, so the window takes its base primes from them too.
 
 The kernel stores and marks odd integers only, and returns a segment [lo, hi]
 as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
 so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
 is 0. Every consumer counts the prime 2 itself. The kernel sieves each
 segment in its own flags of one byte per odd integer, filled with ones,
-which only the base primes above 89 that land in the segment strike. It
-packs the bytes once into words, where one AND per group of the odd primes
-from 3 to 89 clears their multiples with a precomputed pattern of packed
-words, rotated to the segment. The span counter ranks those words per
-segment, a `PiTable` growth copies them into its blocks, 1/16 byte per
-integer, and the base primes unpack them. Both batched counts read the
-bits through one rank, `_rank`: one cumulative bit count over the words
-answers every position in a segment or a block at once. The scalar
-`PiTable.pi` and `nth` read one sub-block instead. The span counter takes
-its intervals as an (m, 2) int64 array and merges the runs it sieves in
-numpy, with no Python step per interval.
+which the base primes above 89 strike, a slice each for those that strike
+many flags and one scatter for the rest. It packs the bytes once into
+words, where one AND per group of the odd primes from 3 to 89 clears their
+multiples with a precomputed pattern of packed words, rotated to the
+segment. The span counter ranks those words per segment, a `PiTable`
+growth copies them into its blocks, 1/16 byte per integer, and the base
+primes unpack them. Both batched counts read the bits through one rank,
+`_rank`: one cumulative bit count over the words answers every position in
+a segment or a block at once. The scalar `PiTable.pi` and `nth` read one
+sub-block instead. The span counter takes its intervals as an (m, 2) int64
+array and merges the runs it sieves in numpy, with no Python step per
+interval.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import threading
@@ -210,6 +213,11 @@ _PRESIEVE_GROUPS = (
     (41, 67), (43, 61), (47, 59), (3, 17, 53), (11, 13, 19),
 )
 _PRESIEVE_TOP = 89
+# A base prime p > n // _SCATTER strikes at most _SCATTER of a segment's n flags,
+# all of them through one scatter: a slice costs about 0.5 us before it stores, a
+# scattered store a few ns. 20 was no slower on any segment measured; 35 and 50
+# made 2^21 integers at 2e9 slower, with a larger index to scatter (CHANGES.md).
+_SCATTER = 20
 # Every odd prime the patterns clear, as bits of odd indices: bit q // 2 for the prime q.
 _PATTERN_BITS = sum(1 << (q // 2) for q in sum(_PRESIEVE_GROUPS, ()))
 
@@ -229,10 +237,10 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     at least isqrt(hi). The flags of the segment, one byte per odd integer,
     are ones over the n flags and zeros up to the end of the last word;
     each base prime p above _PRESIEVE_TOP and up to isqrt(hi) strikes its
-    odd multiples from max(p^2, lo) on, p flags apart. A prime p <= n always
-    lands, since its first odd multiple lies within p flags of lo or is
-    p^2 <= hi; when a larger one strikes, only the primes whose first odd
-    multiple lies inside the segment are kept. The bytes are packed once,
+    odd multiples from max(p^2, lo) on, p flags apart: a prime p <= n //
+    _SCATTER with a slice, the larger ones, which strike at most _SCATTER
+    flags each and maybe none, with one scatter of all their flags, built
+    by np.repeat at 8 bytes per flag. The bytes are packed once,
     and each presieve group then clears the odd multiples of its primes,
     every odd prime up to _PRESIEVE_TOP among them, with one AND of its
     pattern, rotated to the segment: word w of the segment is word
@@ -251,11 +259,16 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
     # lo (less than lo + 2p) stay exact in int64 for every lo it can serve.
     starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps) // 2 - base
-    if len(ps) and ps[-1] > n:
-        hit = starts < n
-        ps, starts = ps[hit], starts[hit]
-    for p, at in zip(ps.tolist(), starts.tolist()):
+    d = int(np.searchsorted(ps, n // _SCATTER, side="right"))
+    for p, at in zip(ps[:d].tolist(), starts[:d].tolist()):
         flags[at::p] = False
+    if d < len(ps):
+        sparse, at = ps[d:], starts[d:]
+        hits = np.maximum(0, (n - at - 1) // sparse + 1)  # the flags each one strikes in [0, n)
+        strikes = np.repeat(sparse, hits)
+        strikes *= np.arange(len(strikes))  # strike g of all, by p, lands at first + p g
+        strikes += np.repeat(at - sparse * (np.cumsum(hits) - hits), hits)
+        flags[strikes] = False
     words = np.packbits(flags, bitorder="little").view(np.uint64)
     for period, inverse, pattern in _presieve():
         r = base * inverse % period  # the pattern word under the segment's word 0
@@ -383,22 +396,29 @@ def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     at pi(v). Striking the prime p removes the integers whose least prime
     factor is p: S(v) -= S(v // p) - pi(p - 1) for every v >= p^2. Every
     v read is x // i for some i, so S lives in int64 arrays: small[v] = S(v)
-    for v <= r = isqrt(x), and large[i - 1] = S(q[i - 1]) for i <= r, where
-    the quotients q[i - 1] = x // i are divided once. Striking p, large[i - 1]
-    reads S(x // (i p)): large[i p - 1] while i p <= r, else
-    small[q[i - 1] // p], since x // (i p) = (x // i) // p, so numpy divides
-    one array by one scalar. Past the cube root c of x, a prime p strikes
-    only large[i - 1] for i <= x // p^2 < p, which no later prime p' reads
-    (it reads i p' > p), and pi(x) = large[0] reads large[p - 1] for no
-    later p. So the primes from c to r take their updates of large[0] alone,
-    at once: large[p - 1] - small[p - 1] each, read after the primes up to c
-    have been struck. By then small[v] = pi(v) for every v < (c + 1)^2, past
-    r, since only a prime p <= isqrt(v) <= c strikes S(v). Given `reach`,
-    small runs out to max(r, reach), and the primes up to there, where small
-    steps, come back beside pi(x); a reach that would need a prime above c
-    is refused.
+    for v <= top = max(r, reach), r = isqrt(x), and large[i - 1] = S(q[i - 1])
+    for i <= r, where the quotients q[i - 1] = x // i are divided once.
+    Striking p, large[i - 1] reads S(x // (i p)): large[i p - 1] while i p
+    <= r, else small[q[i - 1] // p], since x // (i p) = (x // i) // p, so
+    numpy divides one array by one scalar. Every prime up to isqrt(top)
+    strikes small, so small[v] = pi(v) for v <= top, but only those up to
+    y = isqrt(r), the fourth root of x, strike large (Meissel; Lehmer 1959;
+    Lagarias, Miller and Odlyzko 1985). Then large[0] = phi(x, pi(y)) +
+    pi(y) - 1, and no four primes above y have a product <= x, so pi(x) is
+    large[0] - P2 - P3, P2 and P3 counting the products <= x of two and of
+    three primes above y. As large[p - 1] = pi(x // p) + P2(x // p),
+
+        pi(x) = large[0] - sum_{y < p <= r} (large[p - 1] - pi(p) + 1)
+                + sum_{y < q < p, p q^2 <= x} (pi(x // (p q)) - pi(q) + 1):
+
+    the first sum is P2 plus, for each p, the primes q <= q' above y with
+    p q q' <= x. Those with q >= p count each product of three once, by its
+    least prime p, and cancel P3; the second sum counts those with q < p,
+    the primes q' from q to x // (p q). Given `reach`, the primes up to top,
+    where small steps, come back beside pi(x); a reach past (c + 1)^2 - 1,
+    c the cube root of x, is refused, so small holds O(x^2/3) entries.
     """
-    r = math.isqrt(x)
+    r, y = math.isqrt(x), math.isqrt(math.isqrt(x))
     c = round(x ** (1 / 3))
     while c**3 > x:
         c -= 1
@@ -412,25 +432,41 @@ def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     small = np.arange(-1, top, dtype=np.int64)
     q = x // np.arange(1, r + 1, dtype=np.int64)
     large = q - 1
-    for p in range(2, c + 1):
+    for p in range(2, math.isqrt(top) + 1):
         sp = int(small[p - 1])  # pi(p - 1), final since p - 1 < p^2
         if small[p] == sp:
             continue  # p is composite
-        lim = min(r, x // (p * p))
-        m = min(lim, r // p)  # for i <= m, x // (i p) is q[i p - 1], else a small value
-        head, tail = large[:m], large[m:lim]
-        head -= large[p - 1 : m * p : p]
-        head += sp
-        tail -= small[q[m:lim] // p]
-        tail += sp
-        if p * p <= top:  # small[v] -= small[v // p] - sp for v from p^2 to top, p at a time
-            k = (top + 1) // p  # the v past k p - 1 share v // p = k
-            small[k * p :] -= small[k] - sp
-            rows = small[p * p : k * p].reshape(-1, p)
-            rows -= small[p:k, None] - sp
+        if p <= y:
+            lim = min(r, x // (p * p))
+            m = min(lim, r // p)  # for i <= m, x // (i p) is q[i p - 1], else a small value
+            head, tail = large[:m], large[m:lim]
+            head -= large[p - 1 : m * p : p]
+            head += sp
+            tail -= small[q[m:lim] // p]
+            tail += sp
+        # small[v] -= small[v // p] - sp for v from p^2 to top, p at a time
+        k = (top + 1) // p  # the v past k p - 1 share v // p = k
+        small[k * p :] -= small[k] - sp
+        rows = small[p * p : k * p].reshape(-1, p)
+        rows -= small[p:k, None] - sp
     primes = np.flatnonzero(np.diff(small[1:])) + 2  # small steps at each prime up to top
-    ps = primes[np.searchsorted(primes, c, side="right") : np.searchsorted(primes, r, side="right")]
+    # The first sum: large[p - 1] - pi(p) + 1 is large[p - 1] - small[p - 1].
+    ps = primes[np.searchsorted(primes, y, side="right") : np.searchsorted(primes, r, side="right")]
     count = int(large[0] - (large[ps - 1] - small[ps - 1]).sum())
+    del q, large
+    # The pairs: q = ps[j] <= c with the primes p = ps[j + 1 : j + 1 + runs[j]], q < p <=
+    # x // q^2, each adding pi(x // (p q)) - pi(q) + 1. A block of q holds fewer than
+    # r // 2 + pi(r) pairs, so its four arrays of pairs take about what large and q took.
+    qs = ps[: np.searchsorted(ps, c, side="right")]
+    after = np.arange(1, len(qs) + 1)
+    runs = np.maximum(np.searchsorted(ps, x // (qs * qs), side="right") - after, 0)
+    count -= int((runs * small[qs - 1]).sum())
+    ends = np.cumsum(runs)
+    before = ends - runs
+    cuts = np.searchsorted(ends, np.arange(0, int(runs.sum()), r // 2 + 1), side="right")
+    for a, b in itertools.pairwise(np.unique(cuts).tolist() + [len(qs)]):
+        at = np.repeat(after[a:b] - before[a:b], runs[a:b]) + np.arange(before[a], ends[b - 1])
+        count += int(small[np.repeat(x // qs[a:b], runs[a:b]) // ps[at]].sum())
     return count if reach is None else (count, primes)
 
 

@@ -1,4 +1,4 @@
-"""Smoke test of tools/ab.py, the pair runner: one pair at tiny size."""
+"""Smoke tests of tools/ab.py, the pair runner: one workload pair at tiny size, one CLI pair."""
 
 import json
 import subprocess
@@ -23,6 +23,26 @@ def test_one_pair_names_every_end_to_end_metric(tmp_path):
     ]
     assert all(r["correct"] and not r["failed"] and list(r["metrics"]) == names
                for r in result["runs"])
+    for m in result["metrics"].values():
+        assert m["pairs"] == 1 and m["beyond_iqr"] is None
+        assert [len(m[side]["values"]) for side in ("parent", "change")] == [1, 1]
+
+
+def test_one_cli_pair_names_both_metrics(tmp_path):
+    out = tmp_path / "ab.json"
+    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--pairs", "1", "--out", str(out),
+           "--cli", "rosser", "--n", "100000"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result == json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["cli"] == ["rosser", "--n", "100000"]
+    assert list(result["metrics"]) == ["wall_s", "peak_rss_mb"]
+    assert [(r["pair"], r["side"], r["first"]) for r in result["runs"]] == [
+        (0, "parent", True), (0, "change", False)
+    ]
+    assert len({(r["exit"], r["stdout_sha256"]) for r in result["runs"]}) == 1
+    assert result["runs"][0]["exit"] == 0
     for m in result["metrics"].values():
         assert m["pairs"] == 1 and m["beyond_iqr"] is None
         assert [len(m[side]["values"]) for side in ("parent", "change")] == [1, 1]

@@ -631,8 +631,16 @@ class TestLucyPi:
         xs = {p * p + d for p in [2] + PATTERN_PRIMES + STRUCK_PRIMES for d in (-1, 0, 1)}
         xs |= {r * r + d for r in [*range(1, 100), *range(100, 1414, 11)] for d in (0, r - 1, r)}
         xs |= {c**3 + d for c in range(1, 126) for d in (-1, 0, 1)}
-        cum = np.cumsum(PLAIN)
-        assert {x: sieve._lucy_pi(x) for x in xs} == {x: int(cum[x]) for x in xs}
+        # y^4 - 1, y^4 and y^4 + 1, where the fourth root that ends Lucy's
+        # strikes of large moves; p q^2 - 1, p q^2 and p q^2 + 1 for primes
+        # q < p < q^2, where the pair (q, p) enters Meissel's sum.
+        xs |= {y**4 + d for y in range(1, 61) for d in (-1, 0, 1)}
+        small = [q for q in range(2, 126) if PLAIN[q]]
+        xs |= {p * q * q + d for q in small for p in range(q + 1, q * q) for d in (-1, 0, 1)
+               if PLAIN[p] and p * q * q < len(PLAIN) - 1}
+        primes = np.flatnonzero(plain_sieve(60**4 + 1))
+        want = {x: int(np.searchsorted(primes, x, side="right")) for x in xs}
+        assert {x: sieve._lucy_pi(x) for x in xs} == want
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.integers(0, 10**7))
@@ -669,6 +677,9 @@ def window_primes(monkeypatch, x: int) -> np.ndarray:
 class TestLucyReach:
     def test_pi_1e10(self):
         assert sieve._lucy_pi(10**10) == 455_052_511  # OEIS A006880
+
+    def test_pi_1e11(self):
+        assert sieve._lucy_pi(10**11) == 4_118_054_813  # OEIS A006880
 
     @pytest.mark.parametrize(
         "x",
@@ -929,6 +940,45 @@ def presieve_windows(draw):
     return lo, hi
 
 
+SCATTER_TOP = 10**11  # the largest lo the scatter test draws
+
+
+@pytest.fixture(scope="module")
+def base_primes():
+    return build_basis(math.isqrt(SCATTER_TOP + 2**21) + 300).primes
+
+
+def struck_segment(lo, hi, primes):
+    """Prime flags of the odd integers in [lo, hi]: one slice per odd base prime up to isqrt(hi)."""
+    first = lo | 1
+    flags = np.ones((hi + 1) // 2 - lo // 2, dtype=bool)
+    for p in primes[1 : np.searchsorted(primes, math.isqrt(hi), side="right")].tolist():
+        start = max(p * p, -(-first // p) * p)
+        start += p * (start % 2 == 0)  # the first odd multiple
+        flags[(start - first) // 2 :: p] = False
+    if first == 1 and len(flags):
+        flags[0] = False  # the integer 1
+    return flags
+
+
+@st.composite
+def scatter_segments(draw):
+    """[lo, hi] of one word, a window or 2^21 integers, or with n // K about a base prime."""
+    lo = draw(st.integers(0, SCATTER_TOP) | st.integers(0, 10**7))
+    shape = draw(st.sampled_from(["word", "window", "segment", "threshold"]))
+    if shape == "word":
+        return lo, lo + draw(st.integers(0, 127))
+    if shape == "window":
+        return lo, lo + draw(st.integers(2**16, 2**17))
+    if shape == "segment":
+        return lo, lo + 2**21 - 1
+    p = draw(st.sampled_from(STRUCK_PRIMES))
+    k = sieve._SCATTER
+    n = p * k + draw(st.sampled_from([-1, 0, k - 1, k]) | st.integers(-k, 2 * k))
+    lo = max(lo, p * p) & ~1  # p strikes; an even lo gives the segment 2n integers n odd ones
+    return lo, lo + 2 * n - 1
+
+
 class TestSegmentWords:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -980,8 +1030,23 @@ class TestSegmentWords:
         assert [period for period, _, _ in patterns] == list(map(math.prod, sieve._PRESIEVE_GROUPS))
         assert sum(words.nbytes for _, _, words in patterns) <= PRESIEVE_BYTES
 
+    @settings(max_examples=150, deadline=None)
+    @given(segment=scatter_segments())
+    def test_matches_per_prime_strikes(self, base_primes, segment):
+        # Segments of one word, of a window and of 2^21 integers up to 10^11,
+        # where most base primes miss a short one, and segments whose n // K
+        # lies just below, at and just above a base prime.
+        lo, hi = segment
+        primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi) + 300)]
+        want = struck_segment(lo, hi, primes)
+        words = sieve._segment_words(lo, hi, primes)
+        assert len(words) == max(1, -(-len(want) // 64))
+        bits = unpacked(words)
+        assert np.array_equal(bits[: len(want)], want)
+        assert not bits[len(want) :].any()
 
-SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
+
+SPAN =st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
 EDGE_SPANS = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2), (2, 1)]
 PLAIN_TOP = 200_000  # the most the span tests count to
 PLAIN_PI = np.cumsum(PLAIN[: PLAIN_TOP + 1])  # pi(x) for every x up to it

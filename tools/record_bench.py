@@ -104,13 +104,16 @@ def host() -> dict:
     }
 
 
-def measure(argv: list[str]) -> tuple[dict, bytes]:
-    """Run `argv` from the repository root with `src` on the path; its figures and stdout."""
+def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
+    """Run `argv` from a tree's root (this repository's by default) with its `src` on the path.
+
+    Returns the run's figures and its stdout.
+    """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=out, stderr=err)
+        proc = subprocess.Popen(argv, cwd=root, env=env, stdout=out, stderr=err)
         # wait4 reports this child's own rusage, so each run's peak stands alone.
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
