@@ -20,7 +20,7 @@ so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
 is 0. Every consumer counts the prime 2 itself. The kernel sieves each
 segment in its own flags of one byte per odd integer, filled with ones,
 which the base primes above 89 strike, a slice each for those that strike
-many flags and one scatter for the rest. It packs the bytes once into
+many flags and two scatters for the rest. It packs the bytes once into
 words, where one AND per group of the odd primes from 3 to 89 clears their
 multiples with a precomputed pattern of packed words, rotated to the
 segment. The span counter ranks those words per segment, a `PiTable`
@@ -238,9 +238,12 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     are ones over the n flags and zeros up to the end of the last word;
     each base prime p above _PRESIEVE_TOP and up to isqrt(hi) strikes its
     odd multiples from max(p^2, lo) on, p flags apart: a prime p <= n //
-    _SCATTER with a slice, the larger ones, which strike at most _SCATTER
-    flags each and maybe none, with one scatter of all their flags, built
-    by np.repeat at 8 bytes per flag. The bytes are packed once,
+    _SCATTER with a slice, the primes up to n, which strike at most
+    _SCATTER flags each, with one scatter of all their flags, built by
+    np.repeat at 8 bytes per flag. A prime p <= n always lands, since its
+    first odd multiple lies within p flags of lo or is p^2 <= hi; one past
+    n strikes once or not at all, so those that land strike in one more
+    scatter. The bytes are packed once,
     and each presieve group then clears the odd multiples of its primes,
     every odd prime up to _PRESIEVE_TOP among them, with one AND of its
     pattern, rotated to the segment: word w of the segment is word
@@ -259,16 +262,19 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
     # lo (less than lo + 2p) stay exact in int64 for every lo it can serve.
     starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps) // 2 - base
-    d = int(np.searchsorted(ps, n // _SCATTER, side="right"))
+    d, e = np.searchsorted(ps, (n // _SCATTER, n), side="right").tolist()
     for p, at in zip(ps[:d].tolist(), starts[:d].tolist()):
         flags[at::p] = False
-    if d < len(ps):
-        sparse, at = ps[d:], starts[d:]
-        hits = np.maximum(0, (n - at - 1) // sparse + 1)  # the flags each one strikes in [0, n)
+    if d < e:
+        sparse, at = ps[d:e], starts[d:e]
+        hits = (n - 1 - at) // sparse + 1  # the flags each one strikes in [0, n), at least 1
         strikes = np.repeat(sparse, hits)
         strikes *= np.arange(len(strikes))  # strike g of all, by p, lands at first + p g
         strikes += np.repeat(at - sparse * (np.cumsum(hits) - hits), hits)
         flags[strikes] = False
+    if e < len(ps):
+        at = starts[e:]
+        flags[at[at < n]] = False
     words = np.packbits(flags, bitorder="little").view(np.uint64)
     for period, inverse, pattern in _presieve():
         r = base * inverse % period  # the pattern word under the segment's word 0
