@@ -470,7 +470,8 @@ def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     ends = np.cumsum(runs)
     before = ends - runs
     cuts = np.searchsorted(ends, np.arange(0, int(runs.sum()), r // 2 + 1), side="right")
-    for a, b in itertools.pairwise(np.unique(cuts).tolist() + [len(qs)]):
+    # The distinct cuts; np.unique would import numpy.ma, 1.1 MB, on its first call.
+    for a, b in itertools.pairwise(sorted(set(cuts.tolist())) + [len(qs)]):
         at = np.repeat(after[a:b] - before[a:b], runs[a:b]) + np.arange(before[a], ends[b - 1])
         count += int(small[np.repeat(x // qs[a:b], runs[a:b]) // ps[at]].sum())
     return count if reach is None else (count, primes)
