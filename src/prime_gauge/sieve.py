@@ -19,24 +19,22 @@ as uint64 words of one bit per odd integer: bit i stands for (lo | 1) + 2i,
 so the odd integer x is bit x // 2 - lo // 2, and every bit past the segment
 is 0. Every consumer counts the prime 2 itself. The kernel sieves each
 segment in its own flags of one byte per odd integer, filled with ones,
-which the base primes above 89 strike, a slice each for those that strike
-many flags and two scatters for the rest. It packs the bytes once into
-words, where one AND per group of the odd primes from 3 to 89 clears their
-multiples with a precomputed pattern of packed words, rotated to the
-segment. The span counter ranks those words per segment, a `PiTable`
-growth copies them into its blocks, 1/16 byte per integer, and the base
-primes unpack them. Both batched counts read the bits through one rank,
-`_rank`: one cumulative bit count over the words answers every position in
-a segment or a block at once. The scalar `PiTable.pi` and `nth` read one
-sub-block instead. The span counter takes its intervals as an (m, 2) int64
-array and merges the runs it sieves in numpy, with no Python step per
-interval.
+which the base primes above 89 strike, by slices and one scatter. It
+packs the bytes once into words, where one AND per group of the odd primes
+from 3 to 89 clears their multiples with a precomputed pattern of packed
+words, rotated to the segment. The span counter ranks those words per
+segment, a `PiTable` growth copies them into its blocks, 1/16 byte per
+integer, and the base primes unpack them. Both batched counts read the
+bits through one rank, `_rank`: one cumulative bit count over the words
+answers every position in a segment or a block at once. The scalar
+`PiTable.pi` and `nth` read one sub-block instead. The span counter takes
+its intervals as an (m, 2) int64 array and merges the runs it sieves in
+numpy, with no Python step per interval.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import threading
@@ -213,10 +211,9 @@ _PRESIEVE_GROUPS = (
     (41, 67), (43, 61), (47, 59), (3, 17, 53), (11, 13, 19),
 )
 _PRESIEVE_TOP = 89
-# A base prime p > n // _SCATTER strikes at most _SCATTER of a segment's n flags,
-# all of them through one scatter: a slice costs about 0.5 us before it stores, a
-# scattered store a few ns. 20 was no slower on any segment measured; 35 and 50
-# made 2^21 integers at 2e9 slower, with a larger index to scatter (CHANGES.md).
+# A base prime p > n // _SCATTER strikes at most _SCATTER of a segment's n flags, all
+# in one scatter: a slice costs about 0.5 us before it stores, a scattered store a few
+# ns. 20 was no slower on any segment measured; 35 and 50 made 2^21 integers at 2e9 slower.
 _SCATTER = 20
 # Every odd prime the patterns clear, as bits of odd indices: bit q // 2 for the prime q.
 _PATTERN_BITS = sum(1 << (q // 2) for q in sum(_PRESIEVE_GROUPS, ()))
@@ -238,12 +235,9 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     are ones over the n flags and zeros up to the end of the last word;
     each base prime p above _PRESIEVE_TOP and up to isqrt(hi) strikes its
     odd multiples from max(p^2, lo) on, p flags apart: a prime p <= n //
-    _SCATTER with a slice, the primes up to n, which strike at most
-    _SCATTER flags each, with one scatter of all their flags, built by
-    np.repeat at 8 bytes per flag. A prime p <= n always lands, since its
-    first odd multiple lies within p flags of lo or is p^2 <= hi; one past
-    n strikes once or not at all, so those that land strike in one more
-    scatter. The bytes are packed once,
+    _SCATTER with a slice, the larger ones, which strike at most _SCATTER
+    flags each and maybe none, with one scatter of all their flags, built
+    by np.repeat at 8 bytes per flag. The bytes are packed once,
     and each presieve group then clears the odd multiples of its primes,
     every odd prime up to _PRESIEVE_TOP among them, with one AND of its
     pattern, rotated to the segment: word w of the segment is word
@@ -262,19 +256,16 @@ def _segment_words(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     # build_basis caps p at 2^28, so p^2 and the odd multiple of p at or above
     # lo (less than lo + 2p) stay exact in int64 for every lo it can serve.
     starts = np.maximum(ps * ps, (-(-lo // ps) | 1) * ps) // 2 - base
-    d, e = np.searchsorted(ps, (n // _SCATTER, n), side="right").tolist()
+    d = int(np.searchsorted(ps, n // _SCATTER, side="right"))
     for p, at in zip(ps[:d].tolist(), starts[:d].tolist()):
         flags[at::p] = False
-    if d < e:
-        sparse, at = ps[d:e], starts[d:e]
-        hits = (n - 1 - at) // sparse + 1  # the flags each one strikes in [0, n), at least 1
+    if d < len(ps):
+        sparse, at = ps[d:], starts[d:]
+        hits = np.maximum((n - 1 - at) // sparse + 1, 0)  # the flags each one strikes in [0, n)
         strikes = np.repeat(sparse, hits)
         strikes *= np.arange(len(strikes))  # strike g of all, by p, lands at first + p g
         strikes += np.repeat(at - sparse * (np.cumsum(hits) - hits), hits)
         flags[strikes] = False
-    if e < len(ps):
-        at = starts[e:]
-        flags[at[at < n]] = False
     words = np.packbits(flags, bitorder="little").view(np.uint64)
     for period, inverse, pattern in _presieve():
         r = base * inverse % period  # the pattern word under the segment's word 0
@@ -409,10 +400,9 @@ def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     numpy divides one array by one scalar. Every prime up to isqrt(top)
     strikes small, so small[v] = pi(v) for v <= top, but only those up to
     y = isqrt(r), the fourth root of x, strike large (Meissel; Lehmer 1959;
-    Lagarias, Miller and Odlyzko 1985). Then large[0] = phi(x, pi(y)) +
-    pi(y) - 1, and no four primes above y have a product <= x, so pi(x) is
-    large[0] - P2 - P3, P2 and P3 counting the products <= x of two and of
-    three primes above y. As large[p - 1] = pi(x // p) + P2(x // p),
+    Lagarias, Miller and Odlyzko 1985). Then large[0] = phi(x, pi(y)) + pi(y)
+    - 1 = pi(x) + P2 + P3, P2 and P3 counting the products <= x of two and of
+    three primes above y (four exceed x). As large[p - 1] = pi(x // p) + P2(x // p),
 
         pi(x) = large[0] - sum_{y < p <= r} (large[p - 1] - pi(p) + 1)
                 + sum_{y < q < p, p q^2 <= x} (pi(x // (p q)) - pi(q) + 1):
@@ -460,20 +450,22 @@ def _lucy_pi(x: int, reach: int | None = None) -> int | tuple[int, np.ndarray]:
     ps = primes[np.searchsorted(primes, y, side="right") : np.searchsorted(primes, r, side="right")]
     count = int(large[0] - (large[ps - 1] - small[ps - 1]).sum())
     del q, large
-    # The pairs: q = ps[j] <= c with the primes p = ps[j + 1 : j + 1 + runs[j]], q < p <=
-    # x // q^2, each adding pi(x // (p q)) - pi(q) + 1. A block of q holds fewer than
-    # r // 2 + pi(r) pairs, so its four arrays of pairs take about what large and q took.
+    # The pairs: row j, q = ps[j] <= c, holds the primes p = ps[j + 1 : j + 1 + runs[j]],
+    # q < p <= x // q^2 <= r, each adding pi(x // (p q)) - pi(q) + 1. Blocks of whole rows
+    # hold at most r // 2 + 1 pairs, about what large and q took; pair g of all, in row j,
+    # has p = ps[g + j + 1 - (ends[j] - runs[j])].
     qs = ps[: np.searchsorted(ps, c, side="right")]
     after = np.arange(1, len(qs) + 1)
     runs = np.maximum(np.searchsorted(ps, x // (qs * qs), side="right") - after, 0)
     count -= int((runs * small[qs - 1]).sum())
     ends = np.cumsum(runs)
-    before = ends - runs
-    cuts = np.searchsorted(ends, np.arange(0, int(runs.sum()), r // 2 + 1), side="right")
-    # The distinct cuts; np.unique would import numpy.ma, 1.1 MB, on its first call.
-    for a, b in itertools.pairwise(sorted(set(cuts.tolist())) + [len(qs)]):
-        at = np.repeat(after[a:b] - before[a:b], runs[a:b]) + np.arange(before[a], ends[b - 1])
+    a = 0
+    while a < len(qs):
+        first = int(ends[a] - runs[a])  # the block's first pair
+        b = int(np.searchsorted(ends, first + r // 2 + 1, side="right"))
+        at = np.repeat(after[a:b] + runs[a:b] - ends[a:b], runs[a:b]) + np.arange(first, ends[b - 1])
         count += int(small[np.repeat(x // qs[a:b], runs[a:b]) // ps[at]].sum())
+        a = b
     return count if reach is None else (count, primes)
 
 
