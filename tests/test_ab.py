@@ -46,3 +46,12 @@ def test_one_cli_pair_names_both_metrics(tmp_path):
     for m in result["metrics"].values():
         assert m["pairs"] == 1 and m["beyond_iqr"] is None
         assert [len(m[side]["values"]) for side in ("parent", "change")] == [1, 1]
+
+
+def test_cli_run_that_fails_stops_the_comparison():
+    # A mistyped flag fails alike on both trees, with one stdout; it is no gate.
+    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--pairs", "1",
+           "--cli", "rosser", "--no-such-flag", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    assert "parent pair 0 exited 2" in proc.stderr

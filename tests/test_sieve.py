@@ -1046,7 +1046,7 @@ class TestSegmentWords:
         assert not bits[len(want) :].any()
 
 
-SPAN =st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
+SPAN = st.tuples(st.integers(0, 3000), st.integers(-3, 200)).map(lambda t: (t[0], t[0] + t[1]))
 EDGE_SPANS = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 2), (2, 1)]
 PLAIN_TOP = 200_000  # the most the span tests count to
 PLAIN_PI = np.cumsum(PLAIN[: PLAIN_TOP + 1])  # pi(x) for every x up to it
