@@ -152,30 +152,33 @@ def rosser_check(n: int, table: PiTable) -> bool:
     return base <= count <= 1.25 * base
 
 
-def interval_count(n: int, k: int, table: PiTable) -> int:
-    """Exact count of primes p with n < p < kn (both ends open)."""
+def _interval_top(n: int, k: int) -> int:
+    """kn, for n >= 1 and k >= 2, refused past int64."""
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    hi = _checked_mul(n, k)
-    if hi - 1 > table.budget:
+    return _checked_mul(n, k)
+
+
+def _interval_pi(n: int, k: int, table: PiTable, closed: bool) -> int:
+    """Exact count of primes in [n, kn] if `closed`, else in (n, kn): pi(b) - pi(a - 1)."""
+    hi = _interval_top(n, k)
+    a, b = (n, hi) if closed else (n + 1, hi - 1)
+    if b > table.budget:
         raise BudgetError(f"k*n = {hi} exceeds the budget {table.budget}")
-    table._ensure(hi - 1)  # both ends from one plain table: a window at hi - 1 would not hold n
-    return table.pi(hi - 1) - table.pi(n)
+    table._ensure(b)  # both ends from one plain table: a window at b would not hold a - 1
+    return table.pi(b) - table.pi(a - 1)
+
+
+def interval_count(n: int, k: int, table: PiTable) -> int:
+    """Exact count of primes p with n < p < kn (both ends open)."""
+    return _interval_pi(n, k, table, closed=False)
 
 
 def closed_interval_count(n: int, k: int, table: PiTable) -> int:
     """Exact count of primes p with n <= p <= kn (both ends closed)."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    hi = _checked_mul(n, k)
-    if hi > table.budget:
-        raise BudgetError(f"k*n = {hi} exceeds the budget {table.budget}")
-    table._ensure(hi)  # both ends from one plain table, as in interval_count
-    return table.pi(hi) - table.pi(n - 1)
+    return _interval_pi(n, k, table, closed=True)
 
 
 def bertrand_check(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> bool:
@@ -320,11 +323,7 @@ def nth_prime_bound(n: int, table: PiTable) -> NthPrimeBound:
 
 def conj4_bound(n: int, k: int) -> float:
     """Conjectured upper bound kn/9 + k^2 on the count of primes in (n, kn)."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    _checked_mul(n, k)
+    _interval_top(n, k)
     _checked_mul(k, k)
     return k * n / 9 + k * k
 

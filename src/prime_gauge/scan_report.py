@@ -90,7 +90,6 @@ class ScanContext:
         self.budget = budget
         self.points = points
         self._table: PiTable | None = None
-        self._basis: PrimeBasis | None = None
         self._legs: dict[int, int] | None = None
 
     @property
@@ -103,13 +102,12 @@ class ScanContext:
         """A basis that can sieve every integer up to `top`, the largest one a rule counts.
 
         A `top` beyond the budget is rejected before any basis is built.
+        Each call builds its own: the n of the published tables ascend, so
+        a kept basis would be too small for every later call anyway.
         """
         if top > self.budget:
             raise BudgetError(f"interval end {top} exceeds the sieve budget {self.budget}")
-        limit = max(2, math.isqrt(max(top, 0)) + 1)
-        if self._basis is None or self._basis.limit < limit:
-            self._basis = build_basis(limit)
-        return self._basis
+        return build_basis(max(2, math.isqrt(max(top, 0)) + 1))
 
     def leg(self, n: int) -> int:
         """leg(n), counted for every n of the scan's points in one `leg_many` on first use."""

@@ -503,9 +503,9 @@ class PiTable:
 
     A plain table has base 0. A query past its limit grows it to the
     query, or further when it climbs: a growth at least doubles the limit
-    but adds at most one checkpoint stride beyond it, so after queries up
-    to x the table holds at most min(2x, x + checkpoint_stride) integers,
-    never past the budget, in O(log stride + x / stride) growths.
+    but adds at most one stride, DEFAULT_CHECKPOINT_STRIDE integers, beyond
+    it, so after queries up to x the table holds at most min(2x, x + stride)
+    integers, never past the budget, in O(log stride + x / stride) growths.
 
     The first `pi(x)` on an empty table with x >= _ANCHOR_MIN sieves a
     window instead: base is the block boundary at least one block below x,
@@ -517,34 +517,34 @@ class PiTable:
     table [0, limit] and then grows it as above, so only the first query's
     cost differs from a plain table's.
 
-    Growth runs under a lock, and publishes (base, blocks, below, limit) as
-    one tuple that keeps every block and count a plain table already held,
-    so queries need no lock: each reads one whole state.
+    `_ensure` is the one way a table grows, in one section under a lock,
+    and publishes (base, blocks, below, limit) as one tuple that keeps
+    every block and count a plain table already held, so queries need no
+    lock: each reads one whole state.
     """
 
-    def __init__(
-        self,
-        budget: int = DEFAULT_BUDGET,
-        checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
-    ) -> None:
+    def __init__(self, budget: int = DEFAULT_BUDGET) -> None:
         if budget < 2:
             raise DomainError(f"budget must be >= 2, got {budget}")
-        if checkpoint_stride < 1:
-            raise DomainError(f"checkpoint stride must be positive, got {checkpoint_stride}")
         self.budget = budget
-        self.checkpoint_stride = checkpoint_stride
         # blocks are uint8 views into one array per growth; below[0] of a plain table is pi(2).
         self._state: _TableState = (0, [], np.ones(1, dtype=np.int64), 0)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
     def sieved_limit(self) -> int:
         """The largest integer the table holds."""
         return self._state[3]
 
-    def _ensure(self, x: int) -> None:
-        """Make the table a plain one that holds x; a window is sieved again from 0."""
-        base, blocks, below, limit = self._state
+    def _ensure(self, x: int, window: bool = False) -> None:
+        """Make the table hold x: as a window if `window` finds it empty, else as a plain table.
+
+        With `window`, an empty table and x from _ANCHOR_MIN on become the
+        window up to x, above Lucy's count of the primes below it. Otherwise
+        a plain table that holds x stays as it is, a window is sieved again
+        from 0, and a plain one grows from its complete blocks.
+        """
+        base, _, _, limit = self._state
         if x <= limit and not base:
             return
         with self._lock:
@@ -556,23 +556,18 @@ class PiTable:
                 raise BudgetError(
                     f"a pi table up to {x} sieves {x + 1} integers, above the cap {_TABLE_CAP}"
                 )
+            if window and not limit and x >= _ANCHOR_MIN:
+                base = (x // _BLOCK - 1) * _BLOCK
+                count, primes = _lucy_pi(base - 1, reach=math.isqrt(x))
+                self._state = _sieve_blocks(base, [], np.array([count]), x, primes)
+                return
             full = 0 if base else (limit + 1) // _BLOCK  # blocks already complete stay as they are
             if x > limit:  # at least double, by at most one stride: a fresh table sieves [0, x]
-                step = min(limit, self.checkpoint_stride)
+                step = min(limit, DEFAULT_CHECKPOINT_STRIDE)
                 limit = min(self.budget, _TABLE_CAP - 1, max(x, limit + step))
             kept = np.ones(1, dtype=np.int64) if base else below[: full * (_BLOCK // _SUB) + 1]
             primes = _primes_upto(math.isqrt(limit))
             self._state = _sieve_blocks(0, blocks[:full], kept, limit, primes)
-
-    def _anchor(self, x: int) -> None:
-        """Make an empty table the window up to x, above Lucy's count of the primes below it."""
-        with self._lock:
-            if self._state[3]:  # another query grew the table first
-                self._ensure(x)
-                return
-            base = (x // _BLOCK - 1) * _BLOCK
-            count, primes = _lucy_pi(base - 1, reach=math.isqrt(x))
-            self._state = _sieve_blocks(base, [], np.array([count]), x, primes)
 
     def _pi_many(self, xs: np.ndarray) -> np.ndarray:
         """pi at each point of an int64 array of points in [0, budget], in the given order.
@@ -608,16 +603,9 @@ class PiTable:
             raise BudgetError(f"pi({x}) exceeds the budget {self.budget}")
         if x < 2:
             return 0
-        return self._pi(x, anchor=True)
-
-    def _pi(self, x: int, anchor: bool) -> int:
-        """pi(x) for 2 <= x <= budget; with `anchor`, an empty table may become a window."""
         state = self._state
         if not state[0] <= x <= state[3]:
-            if anchor and _ANCHOR_MIN <= x < _TABLE_CAP and not state[3]:
-                self._anchor(x)
-            else:
-                self._ensure(x)
+            self._ensure(x, window=True)
             state = self._state
         base, blocks, below, _ = state
         s = (x - base) // _SUB  # the count below x's sub-block, and its bits up to x
@@ -643,7 +631,7 @@ class PiTable:
             # Past the cap, p_i is refused at once when known to lie past it.
             capped = top < self.budget
             known_past = capped and (i > _PI_2_31 or _dusart_floor(i) > top)
-            if known_past or self._pi(top, anchor=False) < i:
+            if known_past or self._pi_many(np.array([top]))[0] < i:
                 where = (
                     f"past {top}: its pi table would sieve above the cap {_TABLE_CAP}"
                     if capped

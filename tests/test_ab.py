@@ -1,6 +1,7 @@
-"""Smoke tests of tools/ab.py, the pair runner: one workload pair at tiny size, one CLI pair."""
+"""Smoke tests of tools/ab.py, the pair runner: a tiny workload pair, a CLI pair, usage errors."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +56,21 @@ def test_cli_run_that_fails_stops_the_comparison():
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode != 0
     assert "parent pair 0 exited 2" in proc.stderr
+
+
+def test_unknown_revision_or_no_checkout_is_a_usage_error(tmp_path):
+    # Refused with git's message and exit 2, before any tree is extracted and no pair is run.
+    cases = [
+        (["--base", "nosuchrev"], {}, "--base nosuchrev names no commit: fatal:"),
+        (["--base", "HEAD", "--change", "nosuchrev"], {}, "--change nosuchrev names no commit"),
+        (["--base", "HEAD"], {"GIT_DIR": str(tmp_path / "none")}, "not a git repository"),
+    ]
+    trees = tmp_path / "tmp"
+    trees.mkdir()
+    for flags, env, message in cases:
+        cmd = [sys.executable, "tools/ab.py", *flags, "--pairs", "1", "--cli", "rosser", "--n", "100"]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "TMPDIR": str(trees), **env})
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not any(trees.iterdir())

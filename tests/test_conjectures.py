@@ -155,10 +155,11 @@ class TestIntervalCount:
             interval_count(10**4, 11, table)
 
     def test_budget_edge(self):
-        # (1, 10001) holds no integer above 10000.
-        assert interval_count(1, 10_001, PiTable(budget=10_000)) == 1229
-        with pytest.raises(BudgetError):
-            interval_count(1, 10_002, PiTable(budget=10_000))
+        # (1, 10001) and [1, 10000] hold no integer above 10000; one more k does.
+        for count, k in ((interval_count, 10_001), (closed_interval_count, 10_000)):
+            assert count(1, k, PiTable(budget=10_000)) == 1229
+            with pytest.raises(BudgetError, match=f"k\\*n = {k + 1} exceeds the budget 10000"):
+                count(1, k + 1, PiTable(budget=10_000))
 
     def test_fresh_table_grows_plainly(self, monkeypatch):
         # From 2^21 on, a fresh table's first pi at the top end would anchor a

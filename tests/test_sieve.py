@@ -254,14 +254,15 @@ class TestPiTable:
         for b in range(2, 65):
             assert PiTable(budget=b).pi(b) == trial_pi(b)
 
-    def test_growth_across_segment_boundaries(self):
+    def test_growth_across_segment_boundaries(self, monkeypatch):
         # A query of one stride, then the climbing queries, grow the table
         # three times, to 3 * 2^20 + 7, 6 * 2^20 + 14 (twice the limit) and
         # 7 * 10^6 (the budget). Each growth walks 2^21-integer segments from
         # the first block it does not hold yet, so the first crosses a
         # segment boundary at 2^21, the second starts at 3 * 2^20 and crosses
         # one at 5 * 2^20, and the third starts at 3 * 2^21.
-        table = PiTable(budget=7 * 10**6, checkpoint_stride=3 * 2**20 + 7)
+        monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", 3 * 2**20 + 7)
+        table = PiTable(budget=7 * 10**6)
         table.pi(2)  # a small first query: the table grows plainly, with no window
         assert table.pi(3 * 2**20 + 7) == 226_549
         published = [
@@ -287,11 +288,12 @@ class TestPiTable:
             for x in range(k * 2**21 - 64, k * 2**21 + 65):
                 assert table.pi(x) - table.pi(x - 1) == int(is_prime(x))
 
-    def test_growth_allocates_only_fresh_ranges(self):
+    def test_growth_allocates_only_fresh_ranges(self, monkeypatch):
         # After seven climbing growths, the eighth sieves one more stride; it
         # must not allocate (or copy into) a bitmap of the whole range.
         stride = 2**21
-        table = PiTable(budget=8 * stride, checkpoint_stride=stride)
+        monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", stride)
+        table = PiTable(budget=8 * stride)
         table.pi(2)  # a small first query: the table grows plainly, with no window
         for j in range(1, 8):
             table.pi(j * stride)
@@ -312,13 +314,15 @@ class TestPiTable:
     )
     def test_any_growth_order_matches_oracle(self, oracle_100k, budget, stride, queries):
         # Strides and budgets on and off the 2^16 block and 2^20 segment grids.
-        table = PiTable(budget=budget, checkpoint_stride=stride)
-        for x in (min(q, budget) for q in queries):
-            assert table.pi(x) == oracle_100k.pi(x)
-            if x >= 2:
-                assert table.nth(oracle_100k.pi(x)) <= x
-        for j in range(table.sieved_limit // stride + 1):
-            assert table.pi(j * stride) == oracle_100k.pi(j * stride)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", stride)
+            table = PiTable(budget=budget)
+            for x in (min(q, budget) for q in queries):
+                assert table.pi(x) == oracle_100k.pi(x)
+                if x >= 2:
+                    assert table.nth(oracle_100k.pi(x)) <= x
+            for j in range(table.sieved_limit // stride + 1):
+                assert table.pi(j * stride) == oracle_100k.pi(j * stride)
 
     def test_fresh_table_sieves_only_to_the_query(self):
         # Far below one 2^24 stride: [0, 10^5] and no more, about 6 KB of bits.
@@ -348,14 +352,16 @@ class TestPiTable:
         xs = [min(q, budget) for q in queries]
         if climbing:
             xs.sort()
-        table = PiTable(budget=budget, checkpoint_stride=stride)
         top = growths = 0
-        for x in xs:
-            before = table.sieved_limit
-            assert table.pi(x) == oracle_100k.pi(x)
-            top = max(top, x)
-            growths += table.sieved_limit != before
-            assert table.sieved_limit <= min(budget, 2 * top, top + stride)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", stride)
+            table = PiTable(budget=budget)
+            for x in xs:
+                before = table.sieved_limit
+                assert table.pi(x) == oracle_100k.pi(x)
+                top = max(top, x)
+                growths += table.sieved_limit != before
+                assert table.sieved_limit <= min(budget, 2 * top, top + stride)
         assert growths <= math.ceil(math.log2(stride)) + top / stride + 2
 
     def test_growth_clamps_to_the_cap(self, monkeypatch):
@@ -423,18 +429,20 @@ class TestPiTable:
             tracemalloc.stop()
         assert peak < 2**21 + 2**18
 
-    def test_checkpoints(self, oracle_100k):
-        table = PiTable(budget=10**5, checkpoint_stride=10_000)
+    def test_checkpoints(self, monkeypatch, oracle_100k):
+        monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", 10_000)
+        table = PiTable(budget=10**5)
         pi(10**5, table)
         for j in range(table.sieved_limit // 10_000 + 1):
             assert pi(j * 10_000, table) == oracle_100k.pi(j * 10_000)
 
-    def test_lazy_growth_consistency(self):
+    def test_lazy_growth_consistency(self, monkeypatch):
         # Interleaved small and large queries must agree with a fresh table.
-        grown = PiTable(budget=10**6, checkpoint_stride=1 << 16)
         seq = [10, 100_000, 50, 700_000, 65_536, 999_999]
         fresh = PiTable(budget=10**6)
         expected = {x: fresh.pi(x) for x in sorted(seq)}
+        monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", 1 << 16)
+        grown = PiTable(budget=10**6)
         assert [grown.pi(x) for x in seq] == [expected[x] for x in seq]
 
 
@@ -463,16 +471,18 @@ class TestPiMany:
     ):
         # An ungrown table, or one grown part of the way, so that the call
         # grows it; unsorted, repeated points, and the budget itself.
-        table = PiTable(budget=budget, checkpoint_stride=stride)
-        if grown is not None:
-            table.pi(min(grown, budget))
         xs = [x for x in picks + PI_MANY_EDGES + [budget] if x <= budget]
         xs += [xs[i] for i in repeats if i < len(xs)]
         shuffle.shuffle(xs)
-        got = table._pi_many(np.array(xs, dtype=np.int64))
-        assert table.sieved_limit >= max(xs)
-        assert got.tolist() == [oracle_pi_many.pi(x) for x in xs]
-        assert got.tolist() == [table.pi(x) for x in xs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", stride)
+            table = PiTable(budget=budget)
+            if grown is not None:
+                table.pi(min(grown, budget))
+            got = table._pi_many(np.array(xs, dtype=np.int64))
+            assert table.sieved_limit >= max(xs)
+            assert got.tolist() == [oracle_pi_many.pi(x) for x in xs]
+            assert got.tolist() == [table.pi(x) for x in xs]
 
     def test_no_points_and_points_below_two(self):
         table = PiTable(budget=100)
@@ -517,10 +527,11 @@ class TestNthPrime:
         assert table.sieved_limit == 0
 
     @pytest.mark.parametrize("stride", [997, 1 << 24])
-    def test_block_boundaries(self, stride):
+    def test_block_boundaries(self, monkeypatch, stride):
         # Blocks hold 2^16 integers; the stride of 997 leaves a partial last
         # block after most growths.
-        table = PiTable(budget=4 * 2**16, checkpoint_stride=stride)
+        monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", stride)
+        table = PiTable(budget=4 * 2**16)
         for k in (1, 2, 3):
             for x in range(k * 2**16 - 64, k * 2**16 + 65):
                 largest = next(p for p in range(x, 1, -1) if trial_is_prime(p))
@@ -806,6 +817,18 @@ class TestAnchoredTable:
         with pytest.raises(BudgetError, match="above the cap"):
             PiTable(budget=10**19).nth(_PI_2_31 + 1)
 
+    def test_accepted_budget_probe_grows_plainly(self, monkeypatch):
+        # Rosser's estimate for p_295947, about 4.48 * 10^6, lies past the budget
+        # 2^22, so nth first reads pi(2^22) = 295947: a plain growth to the
+        # budget, with no window and no Lucy, which then holds the prime.
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"_lucy_pi{args} ran for a budget probe")
+
+        monkeypatch.setattr(sieve, "_lucy_pi", refuse)
+        table = PiTable(budget=2**22)
+        assert table.nth(295_947) == 4_194_301
+        assert table._state[0] == 0 and table.sieved_limit == 2**22
+
     def test_window_memory(self):
         # Lucy's two int64 arrays of 2^14 + 1 entries and a window of 2^16
         # integers, against 2^24 bytes of bits for the plain table [0, 2^28].
@@ -821,7 +844,7 @@ class TestAnchoredTable:
         assert peak < 2**20
 
 
-def check_concurrent_queries(anchored: bool) -> None:
+def check_concurrent_queries(monkeypatch, anchored: bool) -> None:
     """Four threads' interleaved pi and nth queries on one shared table match a serial table."""
     budget = 2 * 10**6
     serial = PiTable(budget=budget)
@@ -836,7 +859,8 @@ def check_concurrent_queries(anchored: bool) -> None:
             own = own[-2:] + own[:-2]
         queries.append(own)
     expected = {q: getattr(serial, q[0])(q[1]) for own in queries for q in own}
-    shared = PiTable(budget=budget, checkpoint_stride=1 << 16)
+    monkeypatch.setattr(sieve, "DEFAULT_CHECKPOINT_STRIDE", 1 << 16)
+    shared = PiTable(budget=budget)
     start = threading.Barrier(len(queries), timeout=30)
     answers: list[list] = [[] for _ in queries]
 
@@ -860,15 +884,15 @@ def check_concurrent_queries(anchored: bool) -> None:
     assert all(got == expected[q] for a in answers for q, got in a)
 
 
-def test_concurrent_queries_match_serial():
-    check_concurrent_queries(anchored=False)
+def test_concurrent_queries_match_serial(monkeypatch):
+    check_concurrent_queries(monkeypatch, anchored=False)
 
 
 def test_concurrent_queries_through_a_window(monkeypatch):
     # With windows from 2^17, the shared table's first pi makes a window that
     # later queries of every thread sieve again from 0.
     monkeypatch.setattr(sieve, "_ANCHOR_MIN", 2**17)
-    check_concurrent_queries(anchored=True)
+    check_concurrent_queries(monkeypatch, anchored=True)
 
 
 def test_prime_two_in_small_spans_and_budgets(oracle_100k):

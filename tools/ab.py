@@ -20,7 +20,9 @@ BENCHMARK.json), and whether the change's median is better than the parent's
 by more than the parent's interquartile range. The quartiles come from
 `bench/spread.py`'s `summarize`; a side with one run reports its median only.
 The per-run values and the summary are printed as JSON on the last line and
-written to --out when given. A run that exits non-zero stops the
+written to --out when given. A revision that names no commit, or a tree
+that is not a git checkout, is a usage error (exit 2) before any tree is
+extracted. A run that exits non-zero stops the
 comparison, and so does a CLI run whose stdout digest differs from the
 first run's. Standard library only.
 """
@@ -47,15 +49,18 @@ SIDES = ("parent", "change")
 CLI_METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}  # both lower is better
 
 
-def extract(rev: str, dest: Path) -> str:
-    """Write the tree of `rev` under dest with `git archive`; returns its full sha."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout.strip()
+def resolve(rev: str) -> str:
+    """The full sha of the commit `rev` names; CalledProcessError, with git's message, if none."""
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def extract(sha: str, dest: Path) -> None:
+    """Write the tree of commit `sha` under dest with `git archive`."""
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    return sha
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, size: str | None) -> dict:
@@ -122,12 +127,20 @@ def main(argv: list[str] | None = None) -> int:
     elif not 1 <= args.pairs <= len(args.seeds):
         p.error(f"--pairs {args.pairs} needs 1 to {len(args.seeds)} seeds, one per pair")
 
+    shas = {}
+    for side, flag, rev in zip(SIDES, ("--base", "--change"), (args.base, args.change)):
+        try:
+            shas[side] = resolve(rev)
+        except subprocess.CalledProcessError as exc:
+            p.error(f"{flag} {rev} names no commit: {exc.stderr.strip()}")
+
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs: list[dict] = []
     units = dict(CLI_METRICS)
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        shas = {side: extract(rev, trees[side]) for side, rev in zip(SIDES, (args.base, args.change))}
+        for side in SIDES:
+            extract(shas[side], trees[side])
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
