@@ -22,9 +22,9 @@ by more than the parent's interquartile range. The quartiles come from
 The per-run values and the summary are printed as JSON on the last line and
 written to --out when given. A revision that names no commit, or a tree
 that is not a git checkout, is a usage error (exit 2) before any tree is
-extracted. A run that exits non-zero stops the
-comparison, and so does a CLI run whose stdout digest differs from the
-first run's. Standard library only.
+extracted. A run that exits non-zero stops the comparison, and so does a
+CLI run whose stdout digest differs from the first run's. Standard library
+only.
 """
 
 from __future__ import annotations
