@@ -20,7 +20,6 @@ from .sieve import (
     INT64_MAX,
     Interval,
     PiTable,
-    PrimeBasis,
     _check_basis_limit,
     _checked_mul,
     _count_spans,
@@ -54,7 +53,7 @@ class ThresholdResult:
 
     k: int
     formula_a: int
-    observed_threshold: Optional[int]
+    observed_threshold: int
     last_failing_n: int
     scan_limit: int
     conjecture_holds_on_scan: bool
@@ -72,12 +71,18 @@ class NthPrimeBound:
     unverified: str = ""  # when actual is None, the error of the limit that refused p_n
 
 
-def leg(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> int:
+def _count(a: int, b: int, budget: int) -> int:
+    """Primes in [a, b], for 0 <= a <= b, with base primes built for b once b fits the budget."""
+    if b > budget:
+        raise BudgetError(f"interval end {b} exceeds the sieve budget {budget}")
+    return count_primes(Interval.closed(a, b), build_basis(max(2, math.isqrt(b) + 1)), budget=budget)
+
+
+def leg(n: int, *, budget: int = DEFAULT_BUDGET) -> int:
     """Number of primes strictly between n^2 and (n+1)^2."""
     if n < 1:
         raise DomainError(f"leg expects a positive integer, got {n}")
-    hi = _checked_mul(n + 1, n + 1)
-    return count_primes(Interval.open(n * n, hi), basis, budget=budget)
+    return _count(n * n + 1, _checked_mul(n + 1, n + 1) - 1, budget)
 
 
 def leg_range_top(first: int, last: int, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -125,11 +130,11 @@ def conj_bounds_leg(n: int) -> tuple[float, float]:
     return q / (3 * n * math.log(n)), q / (3 * n)
 
 
-def evaluate_leg(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> LegEvaluation:
+def evaluate_leg(n: int, *, budget: int = DEFAULT_BUDGET) -> LegEvaluation:
     """leg(n) with all bounds attached; needs n >= 5 for every bound to exist."""
     if n < 5:
         raise DomainError(f"evaluate_leg needs n >= 5, got {n}")
-    value = leg(n, basis, budget=budget)
+    value = leg(n, budget=budget)
     lb, ub = conj_bounds_leg(n)
     return LegEvaluation(
         n=n,
@@ -181,20 +186,24 @@ def closed_interval_count(n: int, k: int, table: PiTable) -> int:
     return _interval_pi(n, k, table, closed=True)
 
 
-def bertrand_check(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether [n, 2n) contains a prime (closed at n, unlike interval_count)."""
+def _bertrand_count(n: int, budget: int) -> int:
+    """Primes in [n, 2n), the count `bertrand_check` tests and the `bertrand` rule records."""
     if n < 2:
+        # Below 2 the postulate does not apply, so an empty [n, 2n) is no violation.
         raise DomainError(f"the postulate needs n >= 2, got {n}")
-    iv = Interval(n, _checked_mul(2, n), lo_open=False, hi_open=True)
-    return count_primes(iv, basis, budget=budget) >= 1
+    return _count(n, _checked_mul(2, n) - 1, budget)
 
 
-def nagura_check(n: int, basis: PrimeBasis, *, budget: int = DEFAULT_BUDGET) -> bool:
+def bertrand_check(n: int, *, budget: int = DEFAULT_BUDGET) -> bool:
+    """Whether [n, 2n) contains a prime (closed at n, unlike interval_count)."""
+    return _bertrand_count(n, budget) >= 1
+
+
+def nagura_check(n: int, *, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether [n, floor(6n/5)] contains a prime; the cited result needs n > 25."""
     if n <= 25:
         raise DomainError(f"the 6n/5 result needs n > 25, got {n}")
-    hi = _checked_mul(6, n) // 5
-    return count_primes(Interval.closed(n, hi), basis, budget=budget) >= 1
+    return _count(n, _checked_mul(6, n) // 5, budget) >= 1
 
 
 def threshold_formula(k: int) -> int:

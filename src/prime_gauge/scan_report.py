@@ -10,8 +10,9 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO, Union
 
 from .errors import BudgetError, DomainError, RangeOverflowError, UsageError
-from .sieve import DEFAULT_BUDGET, Interval, PiTable, PrimeBasis, build_basis, count_primes
+from .sieve import DEFAULT_BUDGET, PiTable
 from .conjectures import (
+    _bertrand_count,
     brocard_count,
     brocard_decomposition,
     conj4_bound,
@@ -23,6 +24,7 @@ from .conjectures import (
     nth_prime_bound,
     pnt_ratio,
     rosser_check,
+    threshold_formula,
     threshold_search,
 )
 
@@ -84,7 +86,10 @@ class ScanRecord(NamedTuple):
 
 
 class ScanContext:
-    """Shared sieve structures for one scan over `points`, built lazily per budget."""
+    """The `PiTable` and the whole-grid `leg_many` of one scan's rules, built on first use.
+
+    The point checks take only the budget: each builds its own base primes.
+    """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, points: Sequence[Mapping[str, int]] = ()):
         self.budget = budget
@@ -97,17 +102,6 @@ class ScanContext:
         if self._table is None:
             self._table = PiTable(budget=self.budget)
         return self._table
-
-    def basis_for(self, top: int) -> PrimeBasis:
-        """A basis that can sieve every integer up to `top`, the largest one a rule counts.
-
-        A `top` beyond the budget is rejected before any basis is built.
-        Each call builds its own: the n of the published tables ascend, so
-        a kept basis would be too small for every later call anyway.
-        """
-        if top > self.budget:
-            raise BudgetError(f"interval end {top} exceeds the sieve budget {self.budget}")
-        return build_basis(max(2, math.isqrt(max(top, 0)) + 1))
 
     def leg(self, n: int) -> int:
         """leg(n), counted for every n of the scan's points in one `leg_many` on first use."""
@@ -129,7 +123,7 @@ def _rule_improved_legendre(ctx: ScanContext, point: Mapping[str, int]) -> list[
 
 def _rule_conj_bounds(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    ev = evaluate_leg(n, ctx.basis_for((max(n, 0) + 1) ** 2 - 1), budget=ctx.budget)
+    ev = evaluate_leg(n, budget=ctx.budget)
     bounds = {"lower": ev.conj_lb, "upper": ev.conj_ub, "rosser_upper": ev.rosser_ub}
     return [ScanRecord("conj_bounds", {"n": n}, ev.leg, bounds, ev.within_conj_bounds)]
 
@@ -168,17 +162,13 @@ def _rule_rosser(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]
 
 def _rule_bertrand(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    if n < 2:
-        # Below 2 the postulate does not apply, so an empty [n, 2n) is no violation.
-        raise DomainError(f"the postulate needs n >= 2, got {n}")
-    iv = Interval(n, 2 * n, lo_open=False, hi_open=True)
-    value = count_primes(iv, ctx.basis_for(2 * n - 1), budget=ctx.budget)
+    value = _bertrand_count(n, ctx.budget)
     return [ScanRecord("bertrand", {"n": n}, value, {"min_required": 1.0}, value >= 1)]
 
 
 def _rule_nagura(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     n = point["n"]
-    ok = nagura_check(n, ctx.basis_for(6 * n // 5), budget=ctx.budget)
+    ok = nagura_check(n, budget=ctx.budget)
     return [ScanRecord("nagura", {"n": n}, 1 if ok else 0, {"min_required": 1.0}, ok)]
 
 
@@ -195,6 +185,12 @@ def _rule_pnt_ratio(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanReco
 
 def _rule_threshold(ctx: ScanContext, point: Mapping[str, int]) -> list[ScanRecord]:
     k, limit = point["k"], point["scan_limit"]
+    formula_a = threshold_formula(k)
+    if limit < formula_a:
+        raise DomainError(
+            f"scan limit {limit} is below formula_a = {formula_a}: the claim covers "
+            f"n >= {formula_a}, and a scan of none of them cannot pass"
+        )
     res = threshold_search(k, limit, ctx.table)
     # The formula bounds the threshold: the scan holds iff observed <= formula_a.
     bounds = {"upper": float(res.formula_a)}

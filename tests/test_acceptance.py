@@ -150,7 +150,7 @@ def test_criterion_6_oracle_equivalence(oracle):
 
     for _ in range(1000):  # leg over n with (n+1)^2 <= 10^5
         n = rng.randrange(1, 315)
-        got = leg(n, basis)
+        got = leg(n)
         want = oracle.count(n * n, (n + 1) ** 2, True, True)
         if got != want:
             failures.append(("leg", n, got, want))

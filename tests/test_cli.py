@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from prime_gauge import BudgetError, DomainError, cli, sieve
+from prime_gauge import BudgetError, DomainError, cli, scan_report, sieve
 from prime_gauge.cli import main
 from prime_gauge.conjectures import leg_many
 from prime_gauge.sieve import _TABLE_CAP
@@ -120,6 +120,25 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "k,formula_a,verdict", [(22, 5, "22,5,5,4,5,true"), (10**6, 17, "1000000,17,16,15,17,true")]
+    )
+    def test_threshold_scan_short_of_formula_a(self, capsys, monkeypatch, k, formula_a, verdict):
+        # The claim covers n >= formula_a, so a scan that stops below it checked none of it.
+        def no_scan(*args):
+            raise AssertionError("sieved for a scan that is refused")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(scan_report, "threshold_search", no_scan)
+            code, out, err = run(capsys, "threshold", "--k", str(k), "--scan-limit", str(formula_a - 1))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: scan limit {formula_a - 1} is below formula_a = {formula_a}: the claim "
+            f"covers n >= {formula_a}, and a scan of none of them cannot pass\n"
+        )
+        code, out, err = run(capsys, "threshold", "--k", str(k), "--scan-limit", str(formula_a))
+        assert (code, out.splitlines()[1], err) == (0, verdict, "")
 
     def test_budget_error(self, capsys):
         code, _, err = run(capsys, "count", "--n", "5000", "--k", "3", "--budget", "10000")

@@ -30,7 +30,6 @@ from prime_gauge import (
     rosser_ub_leg,
     threshold_formula,
     threshold_search,
-    build_basis,
 )
 
 from prime_gauge import conjectures, sieve
@@ -45,42 +44,41 @@ def round1(x: float) -> float:
 
 
 class TestLeg:
-    def test_published_values(self, basis_2k):
-        assert leg(1, basis_2k) == 2
-        assert leg(4, basis_2k) == 3
-        assert leg(1000, basis_2k) == 152
+    def test_published_values(self):
+        assert leg(1) == 2
+        assert leg(4) == 3
+        assert leg(1000) == 152
 
-    def test_matches_trial_division(self, basis_2k, oracle_100k):
+    def test_matches_trial_division(self, oracle_100k):
         for n in range(1, 200):
-            assert leg(n, basis_2k) == oracle_100k.count(n * n, (n + 1) ** 2, True, True)
+            assert leg(n) == oracle_100k.count(n * n, (n + 1) ** 2, True, True)
 
-    def test_two_code_paths_agree(self, basis_2k, table_2m):
+    def test_two_code_paths_agree(self, table_2m):
         # Segmented interval count vs pi-table difference.
         for n in range(1, 300):
-            assert leg(n, basis_2k) == pi((n + 1) ** 2 - 1, table_2m) - pi(n * n, table_2m)
+            assert leg(n) == pi((n + 1) ** 2 - 1, table_2m) - pi(n * n, table_2m)
 
-    def test_leg_many_matches_leg(self, basis_2k):
+    def test_leg_many_matches_leg(self):
         ns = [1, 2, 3, 10, 50, 317, 999]
-        assert leg_many(ns) == {n: leg(n, basis_2k) for n in ns}
+        assert leg_many(ns) == {n: leg(n) for n in ns}
 
     @settings(max_examples=50, deadline=None)
     @given(ns=st.lists(st.integers(1, 1999), min_size=1, max_size=12))
-    def test_leg_many_on_scattered_n(self, basis_2k, ns):
+    def test_leg_many_on_scattered_n(self, ns):
         # Unsorted, repeated and scattered n, some of their intervals more than
         # a segment apart, so they fall into separate runs.
-        assert leg_many(ns) == {n: leg(n, basis_2k) for n in ns}
+        assert leg_many(ns) == {n: leg(n) for n in ns}
 
-    def test_invalid(self, basis_2k):
+    def test_invalid(self):
         with pytest.raises(DomainError):
-            leg(0, basis_2k)
+            leg(0)
 
     def test_leg_many_sieves_only_its_own_interval(self):
         # Sweeping [0, 40001^2] instead of the 80000 integers of leg(40000) takes seconds.
-        basis = build_basis(40_002)
         t0 = time.perf_counter()
         result = leg_many([40_000])
         assert time.perf_counter() - t0 < 1
-        assert result == {40_000: leg(40_000, basis)}
+        assert result == {40_000: leg(40_000)}
 
     def test_leg_many_memory_holds_about_one_segment(self):
         tracemalloc.start()
@@ -90,9 +88,8 @@ class TestLeg:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        basis = build_basis(8002)
         assert len(result) == 8000
-        assert all(result[n] == leg(n, basis) for n in (1, 2, 1000, 4096, 7999, 8000))
+        assert all(result[n] == leg(n) for n in (1, 2, 1000, 4096, 7999, 8000))
 
 
 class TestLegBounds:
@@ -114,8 +111,8 @@ class TestLegBounds:
         with pytest.raises(DomainError):
             conj_bounds_leg(1)
 
-    def test_evaluate_leg(self, basis_2k):
-        ev = evaluate_leg(10, basis_2k)
+    def test_evaluate_leg(self):
+        ev = evaluate_leg(10)
         assert ev.leg == 5
         assert ev.satisfies_legendre and ev.satisfies_improved and ev.within_conj_bounds
         assert ev.conj_lb <= ev.leg <= ev.conj_ub <= ev.rosser_ub
@@ -188,29 +185,28 @@ class TestIntervalCount:
 
 
 class TestBertrandNagura:
-    def test_bertrand(self, basis_2k):
-        assert bertrand_check(2, basis_2k)
-        assert bertrand_check(10, basis_2k)
-        assert bertrand_check(25, basis_2k)
+    def test_bertrand(self):
+        assert bertrand_check(2)
+        assert bertrand_check(10)
+        assert bertrand_check(25)
 
-    def test_bertrand_closed_at_lower_end(self, basis_2k, oracle_100k):
+    def test_bertrand_closed_at_lower_end(self, oracle_100k):
         for n in range(2, 500):
             expected = oracle_100k.count(n, 2 * n, False, True) >= 1
-            assert bertrand_check(n, basis_2k) == expected
+            assert bertrand_check(n) == expected
 
-    def test_nagura(self, basis_2k):
-        assert nagura_check(26, basis_2k)
-        assert nagura_check(100, basis_2k)
+    def test_nagura(self):
+        assert nagura_check(26)
+        assert nagura_check(100)
 
     def test_nagura_large(self):
-        basis = build_basis(1100)
-        assert nagura_check(10**6, basis)
+        assert nagura_check(10**6)
         # Independent witness: 1000003 is prime and lies inside [10^6, 1.2*10^6].
         assert trial_is_prime(1000003)
 
-    def test_nagura_domain(self, basis_2k):
+    def test_nagura_domain(self):
         with pytest.raises(DomainError):
-            nagura_check(25, basis_2k)
+            nagura_check(25)
 
 
 class TestThresholdFormula:

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from prime_gauge import (
     BudgetError,
     DomainError,
+    PrimeGaugeError,
     UsageError,
-    build_basis,
+    bertrand_check,
     emit,
+    evaluate_leg,
     leg,
+    nagura_check,
     records_from_json,
     reproduce_table,
     run_scan,
@@ -36,9 +39,8 @@ class TestRunScan:
         # n = 3, 4 and n = 5000, 5001 lie far more than a segment apart.
         ns = [5001, 3, 4, 5000, 3]
         records = run_scan("improved_legendre", [{"n": n} for n in ns])
-        basis = build_basis(5003)
         assert [r.inputs["n"] for r in records] == ns
-        assert [r.actual for r in records] == [leg(n, basis) for n in ns]
+        assert [r.actual for r in records] == [leg(n) for n in ns]
 
     @pytest.mark.parametrize(
         "rule,grid",
@@ -114,6 +116,53 @@ class TestRunScan:
     def test_failures_are_collected_not_raised(self):
         records = run_scan("nth_prime_bound", [{"n": n} for n in (3, 4, 5)], budget=10**5)
         assert [r.passed for r in records] == [False, True, True]
+
+
+def _library_record(rule: str, n: int, budget: int) -> ScanRecord:
+    """The record a rule's count implies, from the library's own check of n."""
+    if rule == "conj_bounds":
+        ev = evaluate_leg(n, budget=budget)
+        bounds = {"lower": ev.conj_lb, "upper": ev.conj_ub, "rosser_upper": ev.rosser_ub}
+        return ScanRecord(rule, {"n": n}, ev.leg, bounds, ev.within_conj_bounds)
+    if rule == "bertrand":
+        ok = bertrand_check(n, budget=budget)
+        count = TrialPrefix(2 * n).count(n, 2 * n, False, True)
+        assert ok == (count >= 1)
+        return ScanRecord(rule, {"n": n}, count, {"min_required": 1.0}, ok)
+    ok = nagura_check(n, budget=budget)
+    return ScanRecord(rule, {"n": n}, int(ok), {"min_required": 1.0}, ok)
+
+
+@pytest.mark.parametrize(
+    "rule,n,budget",
+    [
+        # Below the domain, at the budget edge, one past it, and past int64.
+        ("conj_bounds", 4, 10**4),
+        ("conj_bounds", 99, 9999),
+        ("conj_bounds", 100, 9999),
+        ("conj_bounds", 2**32, 2**64),
+        ("conj_bounds", 2**40, 2**64),
+        ("bertrand", 1, 10**4),
+        ("bertrand", 5000, 9999),
+        ("bertrand", 5001, 9999),
+        ("bertrand", 2**62, 2**64),
+        ("nagura", -5, 10**4),
+        ("nagura", 25, 10**4),
+        ("nagura", 10_000, 12_000),
+        ("nagura", 10_001, 12_000),
+        ("nagura", 2**62, 2**64),
+    ],
+)
+def test_rule_matches_its_library_check(rule, n, budget):
+    # The rule raises what the library raises, with the same message, or returns its record.
+    try:
+        want = _library_record(rule, n, budget)
+    except PrimeGaugeError as exc:
+        with pytest.raises(PrimeGaugeError) as caught:
+            run_scan(rule, [{"n": n}], budget=budget)
+        assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+    else:
+        assert run_scan(rule, [{"n": n}], budget=budget) == [want]
 
 
 class TestEmit:

@@ -9,8 +9,8 @@ Both commits are extracted with `git archive` into fresh directories, so
 the two sides share no file. In workload mode each runs its own
 `bench/run.py --trace 0`, and pair i runs seed A + i on both sides. In CLI
 mode each runs `python -m prime_gauge.cli ARGV...` with its own `src` on
-the path, through `tools/record_bench.py`'s `measure`: wall time and peak
-RSS from `wait4`, and the stdout's sha256. The parent (--base) runs first in
+the path, through `tools/record_bench.py`'s `measure`: wall time, the
+child's own peak RSS, and the stdout's sha256. The parent (--base) runs first in
 even pairs and the change (--change, HEAD by default) first in odd ones, so
 the host's drift falls on both alike. For every end-to-end metric (in CLI
 mode `wall_s` and `peak_rss_mb`, both lower is better) it prints the

@@ -14,9 +14,15 @@ CLI command runs 3 times, in rounds that take the commands in turn, so the
 host's drift over the recording falls on every command alike.
 
 For each run the file stores the exit code, the wall time and the peak RSS
-of the child and its descendants (the rusage that wait4 returns, the figure
-RUSAGE_CHILDREN reports), plus a digest of the CLI's stdout or the suite's
-summary line. For a CLI command, `wall_s` and `peak_rss_mb` are the medians
+of the child and its descendants, plus a digest of the CLI's stdout or the
+suite's summary line. The child reports its peak itself, through a small
+launcher that runs its `python -m` or `python -c` command in the same
+process and at exit writes to a side file, never to stdout, the larger of
+its own `VmHWM` and the largest `ru_maxrss` of the descendants it waited
+for. The `ru_maxrss` that wait4 returns would not do: Linux carries the
+spawner's RSS across fork and exec into it, so it grows with whatever the
+spawner holds. Where there is no `/proc`, and for any other command, the
+figure is that `ru_maxrss`. For a CLI command, `wall_s` and `peak_rss_mb` are the medians
 of its 3 runs, `wall_s_min` and `wall_s_max` their range, and `repeats` the
 count; the 3 runs must agree on the exit code and the stdout digest, or
 nothing is written. A host canary runs first in every round, in a child
@@ -78,6 +84,31 @@ t2 = time.perf_counter()
 print(json.dumps({"python_loop_s": t1 - t0, "numpy_strike_s": t2 - t1, "check": total + int(flags.sum())}))
 """
 CANARY = [sys.executable, "-c", CANARY_SOURCE]
+# Run as `python -c LAUNCHER_SOURCE SIDE_FILE -m MODULE ARGS...` (or `-c SOURCE
+# ARGS...`): runs the command as the interpreter would, and at exit writes its
+# peak RSS in KiB to SIDE_FILE.
+LAUNCHER_SOURCE = """
+import atexit, resource, runpy, sys
+
+def peak(path=sys.argv[1]):
+    try:
+        with open("/proc/self/status") as status:
+            own = [int(line.split()[1]) for line in status if line.startswith("VmHWM:")]
+    except OSError:
+        return
+    if own:
+        kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        with open(path, "w") as side:
+            side.write(str(max(own[0], kids)))
+
+atexit.register(peak)
+flag, target = sys.argv[2:4]
+sys.argv = [flag, *sys.argv[4:]]
+if flag == "-m":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
 
 
 def _git(*args: str) -> str:
@@ -111,20 +142,23 @@ def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    launched = argv[0] == sys.executable and argv[1] in ("-m", "-c") and len(argv) > 2
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
+            tempfile.NamedTemporaryFile("r") as side:
+        child = [sys.executable, "-c", LAUNCHER_SOURCE, side.name, *argv[1:]] if launched else argv
         t0 = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=root, env=env, stdout=out, stderr=err)
-        # wait4 reports this child's own rusage, so each run's peak stands alone.
+        proc = subprocess.Popen(child, cwd=root, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         stdout = out.read()
+        peak_kib = int(side.read() or usage.ru_maxrss)  # both in KiB on Linux
     result = {
         "argv": [Path(a).name if a == sys.executable else a for a in argv],
         "exit": proc.returncode,
         "wall_s": round(wall, 3),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": round(peak_kib / 1024, 1),
     }
     if argv[:3] == CLI:
         result["stdout_bytes"] = len(stdout)
