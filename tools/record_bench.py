@@ -22,10 +22,10 @@ its own `VmHWM` and the largest `ru_maxrss` of the descendants it waited
 for. The `ru_maxrss` that wait4 returns would not do: Linux carries the
 spawner's RSS across fork and exec into it, so it grows with whatever the
 spawner holds. Where there is no `/proc`, and for any other command, the
-figure is that `ru_maxrss`. For a CLI command, `wall_s` and `peak_rss_mb` are the medians
-of its 3 runs, `wall_s_min` and `wall_s_max` their range, and `repeats` the
-count; the 3 runs must agree on the exit code and the stdout digest, or
-nothing is written. A host canary runs first in every round, in a child
+figure is that `ru_maxrss`. For a CLI command, `wall_s` and `peak_rss_mb`
+are the medians of its 3 runs, `wall_s_min` and `wall_s_max` their range,
+and `repeats` the count; the 3 runs must agree on the exit code and the
+stdout digest, or nothing is written. A host canary runs first in every round, in a child
 that imports nothing from prime_gauge: a pure-Python loop and a numpy loop
 of strided byte strikes, each timed inside the child. Its `canary` entry
 holds the median, min and max of each, so a reader can tell the program's
@@ -142,7 +142,7 @@ def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    launched = argv[0] == sys.executable and argv[1] in ("-m", "-c") and len(argv) > 2
+    launched = len(argv) > 2 and argv[0] == sys.executable and argv[1] in ("-m", "-c")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
             tempfile.NamedTemporaryFile("r") as side:
         child = [sys.executable, "-c", LAUNCHER_SOURCE, side.name, *argv[1:]] if launched else argv
