@@ -2,12 +2,14 @@
 
 import os
 import subprocess
+
+import pytest
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from record_bench import CLI, measure  # noqa: E402
+from record_bench import CLI, measure, summarize  # noqa: E402
 
 PROBE = [sys.executable, "-c", "import numpy"]
 
@@ -31,3 +33,18 @@ def test_launched_command_keeps_its_exit_and_stdout():
     assert figures["exit"] == 1
     assert stdout == b"rule,n,actual,bound_upper,pass\nnth_prime_bound,3,5,4.0,false\n"
     assert figures["argv"][1:] == argv[1:] and figures["peak_rss_mb"] > 0
+
+
+def test_a_child_that_leaves_no_peak_reads_null():
+    # os._exit skips the launcher's atexit hook, as a signal would; no spawner-inflated figure
+    # may stand in for it.
+    figures = measure([sys.executable, "-c", "import os; os._exit(0)"])[0]
+    assert (figures["exit"], figures["peak_rss_mb"]) == (0, None)
+    assert summarize([figures, {**figures, "peak_rss_mb": 12.0}])["peak_rss_mb"] is None
+
+
+@pytest.mark.parametrize("argv", [["true"], [sys.executable], [sys.executable, "-c"],
+                                  [sys.executable, "script.py"]])
+def test_only_python_m_or_c_commands_are_measured(argv):
+    with pytest.raises(ValueError, match="measure runs only"):
+        measure(argv)

@@ -136,8 +136,10 @@ def _library_record(rule: str, n: int, budget: int) -> ScanRecord:
 @pytest.mark.parametrize(
     "rule,n,budget",
     [
-        # Below the domain, at the budget edge, one past it, and past int64.
+        # Below the domain (also with a tiny budget: the domain is checked first), at the
+        # budget edge, one past it, and past int64.
         ("conj_bounds", 4, 10**4),
+        ("conj_bounds", 4, 20),
         ("conj_bounds", 99, 9999),
         ("conj_bounds", 100, 9999),
         ("conj_bounds", 2**32, 2**64),
@@ -148,6 +150,7 @@ def _library_record(rule: str, n: int, budget: int) -> ScanRecord:
         ("bertrand", 2**62, 2**64),
         ("nagura", -5, 10**4),
         ("nagura", 25, 10**4),
+        ("nagura", 25, 20),
         ("nagura", 10_000, 12_000),
         ("nagura", 10_001, 12_000),
         ("nagura", 2**62, 2**64),

@@ -23,8 +23,8 @@ The per-run values and the summary are printed as JSON on the last line and
 written to --out when given. A revision that names no commit, or a tree
 that is not a git checkout, is a usage error (exit 2) before any tree is
 extracted. A run that exits non-zero stops the comparison, and so does a
-CLI run whose stdout digest differs from the first run's. Standard library
-only.
+CLI run that leaves no peak RSS or whose stdout digest differs from the
+first run's. Standard library only.
 """
 
 from __future__ import annotations
@@ -152,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
                           f"sha256={entry['stdout_sha256'][:12]}", file=sys.stderr, flush=True)
                     if entry["exit"] != 0:
                         raise RuntimeError(f"{side} pair {i} exited {entry['exit']}")
+                    if entry["metrics"]["peak_rss_mb"] is None:
+                        raise RuntimeError(f"{side} pair {i} left no peak RSS")
                     if entry["stdout_sha256"] != runs[0]["stdout_sha256"]:
                         raise RuntimeError(f"{side} pair {i} differs from the first run: "
                                            f"stdout sha256 {entry['stdout_sha256']}")

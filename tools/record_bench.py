@@ -21,9 +21,11 @@ process and at exit writes to a side file, never to stdout, the larger of
 its own `VmHWM` and the largest `ru_maxrss` of the descendants it waited
 for. The `ru_maxrss` that wait4 returns would not do: Linux carries the
 spawner's RSS across fork and exec into it, so it grows with whatever the
-spawner holds. Where there is no `/proc`, and for any other command, the
-figure is that `ru_maxrss`. For a CLI command, `wall_s` and `peak_rss_mb`
-are the medians of its 3 runs, `wall_s_min` and `wall_s_max` their range,
+spawner holds. Only where there is no `/proc` does the launcher write its
+own `ru_maxrss`, which has the same fault. A child that leaves the side
+file empty (killed by a signal, or ended by `os._exit`) gets `peak_rss_mb`
+null. For a CLI command, `wall_s` and `peak_rss_mb`
+are the medians of its 3 runs (null if any run's is), `wall_s_min` and `wall_s_max` their range,
 and `repeats` the count; the 3 runs must agree on the exit code and the
 stdout digest, or nothing is written. A host canary runs first in every round, in a child
 that imports nothing from prime_gauge: a pure-Python loop and a numpy loop
@@ -86,20 +88,19 @@ print(json.dumps({"python_loop_s": t1 - t0, "numpy_strike_s": t2 - t1, "check": 
 CANARY = [sys.executable, "-c", CANARY_SOURCE]
 # Run as `python -c LAUNCHER_SOURCE SIDE_FILE -m MODULE ARGS...` (or `-c SOURCE
 # ARGS...`): runs the command as the interpreter would, and at exit writes its
-# peak RSS in KiB to SIDE_FILE.
+# peak RSS in KiB (on Linux) to SIDE_FILE.
 LAUNCHER_SOURCE = """
 import atexit, resource, runpy, sys
 
 def peak(path=sys.argv[1]):
     try:
         with open("/proc/self/status") as status:
-            own = [int(line.split()[1]) for line in status if line.startswith("VmHWM:")]
-    except OSError:
-        return
-    if own:
-        kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        with open(path, "w") as side:
-            side.write(str(max(own[0], kids)))
+            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):  # no /proc: this holds the spawner's RSS too
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    with open(path, "w") as side:
+        side.write(str(max(own, kids)))
 
 atexit.register(peak)
 flag, target = sys.argv[2:4]
@@ -136,29 +137,30 @@ def host() -> dict:
 
 
 def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
-    """Run `argv` from a tree's root (this repository's by default) with its `src` on the path.
+    """Run `argv`, a `python -m MODULE ...` or `python -c SOURCE ...` command, from a tree's
+    root (this repository's by default) with its `src` on the path.
 
     Returns the run's figures and its stdout.
     """
+    if len(argv) < 3 or argv[0] != sys.executable or argv[1] not in ("-m", "-c"):
+        raise ValueError(f"measure runs only `{sys.executable} -m|-c TARGET ...`, not {argv}")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    launched = len(argv) > 2 and argv[0] == sys.executable and argv[1] in ("-m", "-c")
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err, \
             tempfile.NamedTemporaryFile("r") as side:
-        child = [sys.executable, "-c", LAUNCHER_SOURCE, side.name, *argv[1:]] if launched else argv
         t0 = time.perf_counter()
-        proc = subprocess.Popen(child, cwd=root, env=env, stdout=out, stderr=err)
-        _, status, usage = os.wait4(proc.pid, 0)
+        proc = subprocess.Popen([sys.executable, "-c", LAUNCHER_SOURCE, side.name, *argv[1:]],
+                                cwd=root, env=env, stdout=out, stderr=err)
+        proc.wait()
         wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         stdout = out.read()
-        peak_kib = int(side.read() or usage.ru_maxrss)  # both in KiB on Linux
+        peak_kib = side.read()
     result = {
         "argv": [Path(a).name if a == sys.executable else a for a in argv],
         "exit": proc.returncode,
         "wall_s": round(wall, 3),
-        "peak_rss_mb": round(peak_kib / 1024, 1),
+        "peak_rss_mb": round(int(peak_kib) / 1024, 1) if peak_kib else None,
     }
     if argv[:3] == CLI:
         result["stdout_bytes"] = len(stdout)
@@ -182,7 +184,8 @@ def summarize(runs: list[dict]) -> dict:
     """One record for repeated runs of a CLI command: medians and the wall-time range."""
     record = dict(runs[0])
     record.update(spread([r["wall_s"] for r in runs], "wall_s", 3))
-    record["peak_rss_mb"] = statistics.median(r["peak_rss_mb"] for r in runs)
+    peaks = [r["peak_rss_mb"] for r in runs]
+    record["peak_rss_mb"] = None if None in peaks else statistics.median(peaks)
     record["repeats"] = len(runs)
     return record
 
