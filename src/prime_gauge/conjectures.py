@@ -20,6 +20,7 @@ from .sieve import (
     INT64_MAX,
     Interval,
     PiTable,
+    PrimeBasis,
     _check_basis_limit,
     _checked_mul,
     _count_spans,
@@ -31,6 +32,10 @@ from .sieve import (
 # Tolerance for snapping 1.1*ln(2.5k) to an integer before the ceiling.
 _CEIL_GUARD = 1e-9
 _SCAN_CHUNK = 1 << 16  # threshold_search counts this many n per batched pi query
+# nagura_check's first span from n; each next one is twice as long. Every prime gap
+# below 2^64 is at most 1550 (Oliveira e Silva, Herzog and Pardi 2014), so one span
+# decides every n the sieve can reach.
+_NAGURA_SPAN = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -71,11 +76,16 @@ class NthPrimeBound:
     unverified: str = ""  # when actual is None, the error of the limit that refused p_n
 
 
-def _count(a: int, b: int, budget: int) -> int:
-    """Primes in [a, b], for 0 <= a <= b, with base primes built for b once b fits the budget."""
+def _basis_for(b: int, budget: int) -> PrimeBasis:
+    """The base primes for an interval that ends at b, built once b fits the budget."""
     if b > budget:
         raise BudgetError(f"interval end {b} exceeds the sieve budget {budget}")
-    return count_primes(Interval.closed(a, b), build_basis(max(2, math.isqrt(b) + 1)), budget=budget)
+    return build_basis(max(2, math.isqrt(b) + 1))
+
+
+def _count(a: int, b: int, budget: int) -> int:
+    """Primes in [a, b], for 0 <= a <= b, with base primes built for b once b fits the budget."""
+    return count_primes(Interval.closed(a, b), _basis_for(b, budget), budget=budget)
 
 
 def leg(n: int, *, budget: int = DEFAULT_BUDGET) -> int:
@@ -200,10 +210,24 @@ def bertrand_check(n: int, *, budget: int = DEFAULT_BUDGET) -> bool:
 
 
 def nagura_check(n: int, *, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether [n, floor(6n/5)] contains a prime; the cited result needs n > 25."""
+    """Whether [n, floor(6n/5)] contains a prime; the cited result needs n > 25.
+
+    A 6n/5 past the budget is refused before anything is allocated. The
+    base primes are built for 6n/5, and then spans from n upward, the
+    first _NAGURA_SPAN integers long and each next one twice as long as
+    the one before, are counted until one holds a prime or 6n/5 is passed.
+    """
     if n <= 25:
         raise DomainError(f"the 6n/5 result needs n > 25, got {n}")
-    return _count(n, _checked_mul(6, n) // 5, budget) >= 1
+    b = _checked_mul(6, n) // 5
+    primes = _basis_for(b, budget).primes
+    lo, width = n, _NAGURA_SPAN
+    while lo <= b:
+        hi = min(lo + width - 1, b)
+        if _count_spans([(lo, hi)], primes)[0]:
+            return True
+        lo, width = hi + 1, 2 * width
+    return False
 
 
 def threshold_formula(k: int) -> int:

@@ -1,5 +1,6 @@
 """Smoke tests of tools/ab.py, the pair runner: a tiny workload pair, a CLI pair, usage errors."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -50,12 +51,30 @@ def test_one_cli_pair_names_both_metrics(tmp_path):
 
 
 def test_cli_run_that_fails_stops_the_comparison():
-    # A mistyped flag fails alike on both trees, with one stdout; it is no gate.
-    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--pairs", "1",
-           "--cli", "rosser", "--no-such-flag", "1"]
+    # c7cf606 predates the refusal of a scan limit below formula_a: there the command
+    # prints a verdict and exits 0, on every later commit it exits 2 with no stdout.
+    cmd = [sys.executable, "tools/ab.py", "--base", "c7cf606", "--pairs", "1",
+           "--cli", "threshold", "--k", "22", "--scan-limit", "3"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode != 0
-    assert "parent pair 0 exited 2" in proc.stderr
+    assert "change pair 0 differs from the first run: exit 0 -> 2, stdout_sha256" in proc.stderr
+    assert "stderr_sha256" in proc.stderr and proc.stdout == ""
+
+
+def test_cli_runs_that_fail_alike_are_compared(tmp_path):
+    # A mistyped flag exits 2 with one stderr on both trees: its pairs are compared.
+    out = tmp_path / "ab.json"
+    cmd = [sys.executable, "tools/ab.py", "--base", "HEAD", "--pairs", "2", "--out", str(out),
+           "--cli", "rosser", "--no-such-flag", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    outcomes = {(r["exit"], r["stdout_sha256"], r["stderr_sha256"]) for r in result["runs"]}
+    assert len(result["runs"]) == 4 and len(outcomes) == 1
+    assert next(iter(outcomes))[0] == 2
+    empty = hashlib.sha256(b"").hexdigest()
+    assert result["runs"][0]["stdout_sha256"] == empty != result["runs"][0]["stderr_sha256"]
+    assert "every run: exit 2, stdout sha256" in proc.stdout
 
 
 def test_unknown_revision_or_no_checkout_is_a_usage_error(tmp_path):

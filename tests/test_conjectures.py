@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from prime_gauge import (
     BudgetError,
     DomainError,
+    Interval,
     PiTable,
     ThresholdResult,
     bertrand_check,
     brocard_count,
+    build_basis,
     brocard_decomposition,
     closed_interval_count,
     conj4_bound,
     conj4_crossover,
     conj_bounds_leg,
+    count_primes,
     evaluate_leg,
     interval_count,
     leg,
@@ -207,6 +210,32 @@ class TestBertrandNagura:
     def test_nagura_domain(self):
         with pytest.raises(DomainError):
             nagura_check(25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(26, 10**7), first=st.sampled_from([1, 2, conjectures._NAGURA_SPAN]))
+    def test_nagura_matches_whole_interval_count(self, n, first):
+        # Also from spans of 1 and 2 integers, so that the doubling spans run on past n.
+        b = 6 * n // 5
+        whole = count_primes(Interval.closed(n, b), build_basis(math.isqrt(b) + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conjectures, "_NAGURA_SPAN", first)
+            assert nagura_check(n) == (whole >= 1)
+
+    def test_nagura_spans_tile_the_interval_when_none_holds_a_prime(self, monkeypatch):
+        # With a counter that finds no prime, the spans run from n to 6n/5, doubling, no gap.
+        seen = []
+        monkeypatch.setattr(conjectures, "_count_spans", lambda spans, _: seen.extend(spans) or [0])
+        assert not nagura_check(100_000)
+        widths = [hi - lo + 1 for lo, hi in seen]
+        assert seen[0][0] == 100_000 and seen[-1][1] == 120_000
+        assert [lo for lo, _ in seen[1:]] == [hi + 1 for _, hi in seen[:-1]]
+        assert widths[:-1] == [conjectures._NAGURA_SPAN << i for i in range(len(seen) - 1)]
+
+    def test_nagura_far_n_stops_at_its_first_prime(self):
+        # [10^11, 1.2 * 10^11] holds about 7.5 * 10^8 primes; 100000000003 decides it.
+        t0 = time.perf_counter()
+        assert nagura_check(10**11, budget=10**19)
+        assert time.perf_counter() - t0 < 1
 
 
 class TestThresholdFormula:

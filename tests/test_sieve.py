@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -1211,6 +1212,148 @@ class TestCountSpans:
     def test_bad_segment_size(self, seg):
         with pytest.raises(DomainError):
             _count_spans([], build_basis(2).primes, seg)
+
+
+def no_child_left():
+    """Whether this process has no child left, reaped or not."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def split(mp, parts):
+    """Make every _count_spans call from 1 integer on deal its segments to `parts` processes."""
+    mp.setattr(sieve, "_FORK_MIN", 1)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+def failing_at(lo_fail, fail):
+    """A _segment_words that calls fail(lo) for the segment from lo_fail."""
+    segment_words = sieve._segment_words
+
+    def words(lo, hi, primes):
+        if lo == lo_fail:
+            fail(lo)
+        return segment_words(lo, hi, primes)
+
+    return words
+
+
+class TestSplitCounter:
+    # 10 segments of 100 integers: with 2 parts, segment 1, from 100, goes to the worker.
+    SPANS = [(0, 999), (150, 420), (3, 3)]
+    COUNTS = [plain_count(a, b) for a, b in SPANS]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spans=st.lists(SPAN | st.sampled_from(EDGE_SPANS), max_size=10),
+        size=st.integers(1, 64),
+        parts=st.integers(2, 4),
+    )
+    def test_matches_serial(self, spans, size, parts):
+        primes = build_basis(60).primes
+        segments, forks = [], []
+        segment_words, fork = sieve._segment_words, os.fork
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_segment_words", lambda *a: segments.append(1) or segment_words(*a))
+            serial = _count_spans(spans, primes, size)
+        with pytest.MonkeyPatch.context() as mp:
+            split(mp, parts)
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            got = _count_spans(spans, primes, size)
+        assert got == serial == [plain_count(a, b) for a, b in spans]
+        assert len(forks) == min(parts, len(segments)) - 1 if segments else not forks
+        assert no_child_left()
+
+    def test_default_threshold_counts_integers(self):
+        # A call's runs split from 8 segments' worth of integers on, not from 8 segments.
+        assert sieve._FORK_MIN == 8 * sieve.DEFAULT_SEGMENT_SIZE
+        assert sieve._parts(sieve._FORK_MIN - 1, 10**6) == 1
+        assert sieve._parts(sieve._FORK_MIN, 1) == 1
+        assert sieve._parts(sieve._FORK_MIN, 10**6) == len(os.sched_getaffinity(0))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(lo):
+            raise DomainError(f"no segment from {lo}")
+
+        split(monkeypatch, 2)
+        monkeypatch.setattr(sieve, "_segment_words", failing_at(100, fail))
+        with pytest.raises(DomainError) as caught:
+            _count_spans(self.SPANS, build_basis(40).primes, 100)
+        assert type(caught.value) is DomainError and str(caught.value) == "no segment from 100"
+        assert no_child_left()
+
+    def test_worker_that_sends_nothing_names_its_status(self, monkeypatch):
+        split(monkeypatch, 2)
+        monkeypatch.setattr(sieve, "_segment_words", failing_at(100, lambda lo: os._exit(7)))
+        with pytest.raises(RuntimeError, match="exit status 7 before sending its counts"):
+            _count_spans(self.SPANS, build_basis(40).primes, 100)
+        assert no_child_left()
+
+    def test_caller_interrupted_kills_its_workers(self, monkeypatch):
+        # The worker would sleep a minute on its segment; the caller's own share is
+        # interrupted at once, and the call returns with the worker killed and reaped.
+        def interrupt(lo):
+            raise KeyboardInterrupt
+
+        sleepy = failing_at(100, lambda lo: time.sleep(60))
+        split(monkeypatch, 2)
+        monkeypatch.setattr(sieve, "_segment_words", lambda lo, hi, primes: (
+            interrupt(lo) if lo == 200 else sleepy(lo, hi, primes)))
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _count_spans(self.SPANS, build_basis(40).primes, 100)
+        assert time.perf_counter() - t0 < 30
+        assert no_child_left()
+
+    def test_no_worker_outlives_a_call(self, monkeypatch):
+        split(monkeypatch, 2)
+        assert _count_spans(self.SPANS, build_basis(40).primes, 100) == self.COUNTS
+        assert no_child_left()
+
+    def test_serial_while_another_thread_runs(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked while another thread ran")
+
+        split(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            assert _count_spans(self.SPANS, build_basis(40).primes, 100) == self.COUNTS
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+
+    def test_one_share_holds_about_one_segment(self, monkeypatch):
+        # leg_many(1..8000)'s second share, run here under tracemalloc, within the bound of
+        # test_leg_many_memory_holds_about_one_segment; the workers' own allocations are
+        # not traced by the caller.
+        from prime_gauge.conjectures import leg, leg_many
+
+        calls = []
+
+        def in_process(share, parts):
+            calls.append((share, [share(r) for r in range(parts)]))
+            return calls[-1][1]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(sieve, "_forked", in_process)
+        result = leg_many(range(1, 8001))
+        (share, results), = calls
+        assert all(result[n] == leg(n) for n in (1, 2, 1000, 4096, 7999, 8000))
+        tracemalloc.start()
+        try:
+            counted = share(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert len(results) == 2 and np.array_equal(counted, results[1])
 
 
 class TestPiAtPoints:

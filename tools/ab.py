@@ -10,7 +10,7 @@ the two sides share no file. In workload mode each runs its own
 `bench/run.py --trace 0`, and pair i runs seed A + i on both sides. In CLI
 mode each runs `python -m prime_gauge.cli ARGV...` with its own `src` on
 the path, through `tools/record_bench.py`'s `measure`: wall time, the
-child's own peak RSS, and the stdout's sha256. The parent (--base) runs first in
+child's own peak RSS, the exit code and the sha256 of stdout and of stderr. The parent (--base) runs first in
 even pairs and the change (--change, HEAD by default) first in odd ones, so
 the host's drift falls on both alike. For every end-to-end metric (in CLI
 mode `wall_s` and `peak_rss_mb`, both lower is better) it prints the
@@ -22,9 +22,11 @@ by more than the parent's interquartile range. The quartiles come from
 The per-run values and the summary are printed as JSON on the last line and
 written to --out when given. A revision that names no commit, or a tree
 that is not a git checkout, is a usage error (exit 2) before any tree is
-extracted. A run that exits non-zero stops the comparison, and so does a
-CLI run that leaves no peak RSS or whose stdout digest differs from the
-first run's. Standard library only.
+extracted. A workload run that exits non-zero stops the comparison. A CLI
+run stops it when it leaves no peak RSS, or when its exit code, stdout
+digest or stderr digest differs from the first run's, so a command that is
+meant to fail, with exit 2 or 3, is paired like any other. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from spread import summarize  # noqa: E402
 
 SIDES = ("parent", "change")
 CLI_METRICS = {"wall_s": "s", "peak_rss_mb": "MB"}  # both lower is better
+OUTCOME = ("exit", "stdout_sha256", "stderr_sha256")  # what every CLI run must repeat
 
 
 def resolve(rev: str) -> str:
@@ -76,9 +79,9 @@ def run(tree: Path, workload: str, seed: int, seconds: float, size: str | None) 
 
 
 def run_cli(tree: Path, argv: list[str]) -> dict:
-    """One CLI run in `tree`: its exit code, stdout digest and the CLI metrics."""
+    """One CLI run in `tree`: its exit code, stdout and stderr digests and the CLI metrics."""
     figures, _ = measure(CLI + argv, root=tree)
-    return {"exit": figures["exit"], "stdout_sha256": figures["stdout_sha256"],
+    return {**{key: figures[key] for key in OUTCOME},
             "metrics": {name: figures[name] for name in CLI_METRICS}}
 
 
@@ -150,13 +153,13 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append(entry)
                     print(f"pair {i} {side:6s} exit={entry['exit']} "
                           f"sha256={entry['stdout_sha256'][:12]}", file=sys.stderr, flush=True)
-                    if entry["exit"] != 0:
-                        raise RuntimeError(f"{side} pair {i} exited {entry['exit']}")
                     if entry["metrics"]["peak_rss_mb"] is None:
                         raise RuntimeError(f"{side} pair {i} left no peak RSS")
-                    if entry["stdout_sha256"] != runs[0]["stdout_sha256"]:
+                    differ = [f"{key} {runs[0][key]} -> {entry[key]}" for key in OUTCOME
+                              if entry[key] != runs[0][key]]
+                    if differ:
                         raise RuntimeError(f"{side} pair {i} differs from the first run: "
-                                           f"stdout sha256 {entry['stdout_sha256']}")
+                                           + ", ".join(differ))
                     continue
                 seed = args.seeds[i]
                 result = run(trees[side], args.workload, seed, args.seconds, args.size)
@@ -191,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{units[name]} ({rel:+.1f} %), change better in {s['wins']}/{s['pairs']}, "
               f"better by more than the parent's IQR: {beyond}")
     if args.cli is not None:
-        print(f"  every run: exit 0, stdout sha256 {runs[0]['stdout_sha256']}")
+        print(f"  every run: exit {runs[0]['exit']}, stdout sha256 {runs[0]['stdout_sha256']}, "
+              f"stderr sha256 {runs[0]['stderr_sha256']}")
         bad = []
     else:
         bad = [r for r in runs if not r["correct"] or r["failed"]]

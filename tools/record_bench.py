@@ -14,8 +14,8 @@ CLI command runs 3 times, in rounds that take the commands in turn, so the
 host's drift over the recording falls on every command alike.
 
 For each run the file stores the exit code, the wall time and the peak RSS
-of the child and its descendants, plus a digest of the CLI's stdout or the
-suite's summary line. The child reports its peak itself, through a small
+of the child and its descendants, plus digests of the CLI's stdout and
+stderr or the suite's summary line. The child reports its peak itself, through a small
 launcher that runs its `python -m` or `python -c` command in the same
 process and at exit writes to a side file, never to stdout, the larger of
 its own `VmHWM` and the largest `ru_maxrss` of the descendants it waited
@@ -154,7 +154,8 @@ def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
         proc.wait()
         wall = time.perf_counter() - t0
         out.seek(0)
-        stdout = out.read()
+        err.seek(0)
+        stdout, stderr = out.read(), err.read()
         peak_kib = side.read()
     result = {
         "argv": [Path(a).name if a == sys.executable else a for a in argv],
@@ -165,6 +166,7 @@ def measure(argv: list[str], root: Path = ROOT) -> tuple[dict, bytes]:
     if argv[:3] == CLI:
         result["stdout_bytes"] = len(stdout)
         result["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        result["stderr_sha256"] = hashlib.sha256(stderr).hexdigest()
     elif argv == TIER1:
         lines = stdout.decode("utf-8", "replace").strip().splitlines()
         result["summary"] = lines[-1] if lines else ""
