@@ -29,7 +29,12 @@ bits through one rank, `_rank`: one cumulative bit count over the words
 answers every position in a segment or a block at once. The scalar
 `PiTable.pi` and `nth` read one sub-block instead. The span counter takes
 its intervals as an (m, 2) int64 array and merges the runs it sieves in
-numpy, with no Python step per interval.
+numpy, with no Python step per interval. Where its runs cover at least
+_FORK_MIN integers, it deals its segments to one process per core: the
+caller counts one share, and a worker forked for the call counts each
+other share and sends its counts back through a pipe, so the kernel runs
+on every core without sharing the interpreter lock. Every other path runs
+in the calling process only.
 """
 
 from __future__ import annotations
@@ -301,8 +306,9 @@ def _rank(words: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 # A call's runs must cover this many integers before its segments are split across
-# processes: a fork of a 45 MB process took about 2.5 ms, and 8 segments of 2^21
-# integers about 11 ms on one core.
+# processes. On 2 cores a fork, exit and wait of a 60 MB process took 1.3 ms; 8
+# segments of 2^21 integers below 6.4e7 took 13 ms in one process and 11-14 ms in
+# two, and 4 segments 7 ms either way. With the second core busy, two are slower.
 _FORK_MIN = 8 * DEFAULT_SEGMENT_SIZE
 
 
@@ -367,10 +373,11 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
                 status = 1
                 try:
                     try:
-                        payload = b"\0" + share(r).tobytes()
+                        tag, payload = b"\0", share(r)
                     except BaseException as exc:
-                        payload = b"\1" + pickle.dumps(exc)
+                        tag, payload = b"\1", pickle.dumps(exc)
                     with open(write, "wb") as pipe:
+                        pipe.write(tag)
                         pipe.write(payload)
                     status = 0
                 finally:
@@ -380,16 +387,16 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
         results = [share(0)]
         for read in reads:
             with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
+                tag, data = pipe.read(1), pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(live[0], 0)[1])
             del live[0]
-            if data[:1] == b"\1":
-                raise pickle.loads(data[1:])
-            if data[:1] != b"\0" or code:
+            if tag == b"\1":
+                raise pickle.loads(data)
+            if tag != b"\0" or code:
                 raise RuntimeError(
                     f"a span-counter worker ended with exit status {code} before sending its counts"
                 )
-            results.append(np.frombuffer(data[1:], dtype=np.int64))
+            results.append(np.frombuffer(data, dtype=np.int64))
         return results
     finally:
         for read in reads:
@@ -438,24 +445,28 @@ def _count_spans(
     np.greater(first[1:] - reach[:-1], size, out=starts[1:-1])
     run_lo, run_hi = first[starts[:-1]].tolist(), reach[starts[1:]].tolist()
     cuts = np.sort(ends)  # a repeated cut is counted once per copy
-    seg_lo = np.concatenate([np.arange(lo, hi + 1, size) for lo, hi in zip(run_lo, run_hi)])
-    seg_end = np.concatenate([np.append(np.arange(lo + size, hi + 1, size), hi + 1)
-                              for lo, hi in zip(run_lo, run_hi)])
+    los = [np.arange(lo, hi + 1, size) for lo, hi in zip(run_lo, run_hi)]  # each run's segments
+    seg_lo = np.concatenate(los)
+    seg_end = np.concatenate([np.append(lo[1:], hi + 1) for lo, hi in zip(los, run_hi)])
     # A segment takes the cuts up to its end; the first segment of a run also
     # takes a - 1 for a span that starts the run, which counts nothing.
     j = np.searchsorted(cuts, seg_end)
     k = np.concatenate(([0], j[:-1]))
     segments = np.stack((seg_lo, seg_end, k, j), axis=1)
-    covered = sum(run_hi) - sum(run_lo) + len(run_lo)
-    parts = _parts(covered, len(segments))
-    counted = np.empty(len(cuts), dtype=np.int64)
-    totals = np.empty(len(segments), dtype=np.int64)
-    owner = np.repeat(np.arange(len(segments)) % parts, j - k)  # the share of each cut's segment
+    parts = _parts(sum(run_hi) - sum(run_lo) + len(run_lo), len(segments))
     shares = _forked(lambda r: _rank_segments(segments[r::parts], cuts, primes), parts)
+    totals = np.empty(len(segments), dtype=np.int64)
     for r, share in enumerate(shares):
-        m = len(segments[r::parts])
-        counted[owner == r], totals[r::parts] = share[:-m], share[-m:]
-    below = counted + np.repeat(np.cumsum(totals) - totals, j - k)
+        totals[r::parts] = share[len(share) - len(totals[r::parts]) :]
+    before = (np.cumsum(totals) - totals).tolist()  # the odd primes in the segments before each
+    below = np.empty(len(cuts), dtype=np.int64)
+    rows = segments.tolist()
+    for r, share in enumerate(shares):
+        at = 0
+        for i in range(r, len(rows), parts):
+            _, _, k, j = rows[i]
+            np.add(share[at : at + j - k], before[i], out=below[k:j])
+            at += j - k
     below[int(np.searchsorted(cuts, 2)) :] += 1  # the prime 2, up to every cut from 2 on
     at = below[np.searchsorted(cuts, ends)]
     counts = np.zeros(len(spans), dtype=np.int64)
