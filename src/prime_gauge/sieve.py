@@ -356,7 +356,6 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
     or a worker's raises, or an interrupt arrives.
     """
     import pickle
-    import signal
 
     reads: list[int] = []
     live: list[int] = []
@@ -402,6 +401,8 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
         for read in reads:
             os.close(read)
         for pid in live:
+            import signal  # about 1 ms on first import, so only once a worker must be killed
+
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -456,7 +457,7 @@ def _count_spans(
     parts = _parts(sum(run_hi) - sum(run_lo) + len(run_lo), len(segments))
     shares = _forked(lambda r: _rank_segments(segments[r::parts], cuts, primes), parts)
     totals = np.empty(len(segments), dtype=np.int64)
-    for r, share in enumerate(shares):
+    for r, share in enumerate(shares):  # each share ends with its segments' totals
         totals[r::parts] = share[len(share) - len(totals[r::parts]) :]
     before = (np.cumsum(totals) - totals).tolist()  # the odd primes in the segments before each
     below = np.empty(len(cuts), dtype=np.int64)

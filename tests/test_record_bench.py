@@ -1,5 +1,6 @@
-"""tools/record_bench.py's `measure`: the child's own peak RSS, its exit code and its stdout."""
+"""tools/record_bench.py's `measure`: the child's own peak RSS, its exit code and its output."""
 
+import hashlib
 import os
 import subprocess
 
@@ -30,7 +31,8 @@ def test_launched_command_keeps_its_exit_and_stdout():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     direct = subprocess.run(argv, cwd=ROOT, capture_output=True, env=env)
     assert (figures["exit"], stdout) == (direct.returncode, direct.stdout)
-    assert figures["exit"] == 1
+    assert figures["stderr_sha256"] == hashlib.sha256(direct.stderr).hexdigest()
+    assert figures["exit"] == 1 and b"violation" in direct.stderr
     assert stdout == b"rule,n,actual,bound_upper,pass\nnth_prime_bound,3,5,4.0,false\n"
     assert figures["argv"][1:] == argv[1:] and figures["peak_rss_mb"] > 0
 

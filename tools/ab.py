@@ -10,9 +10,10 @@ the two sides share no file. In workload mode each runs its own
 `bench/run.py --trace 0`, and pair i runs seed A + i on both sides. In CLI
 mode each runs `python -m prime_gauge.cli ARGV...` with its own `src` on
 the path, through `tools/record_bench.py`'s `measure`: wall time, the
-child's own peak RSS, the exit code and the sha256 of stdout and of stderr. The parent (--base) runs first in
-even pairs and the change (--change, HEAD by default) first in odd ones, so
-the host's drift falls on both alike. For every end-to-end metric (in CLI
+child's own peak RSS, the exit code and the sha256 of stdout and of
+stderr. The parent (--base) runs first in even pairs and the change
+(--change, HEAD by default) first in odd ones, so the host's drift falls on
+both alike. For every end-to-end metric (in CLI
 mode `wall_s` and `peak_rss_mb`, both lower is better) it prints the
 parent's median and quartiles, the change's median, the pairs the change won
 (a tie counts for neither side, and "better" is the metric's direction in
