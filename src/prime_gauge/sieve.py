@@ -347,19 +347,27 @@ def _parts(covered: int, segments: int) -> int:
 def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
     """share(r) for r in range(parts): r = 0 here, every other r in a worker forked for it.
 
-    Each worker sends its int64 array back through a pipe, tagged 0, or
-    its exception pickled, tagged 1, and always ends with os._exit, so it
-    flushes no inherited stdio buffer and never returns into the caller's
-    stack. The exception is raised here again; a worker that ends without
-    sending either is a RuntimeError naming its exit status. Every worker
-    is reaped before this returns, and killed first if the caller's share
-    or a worker's raises, or an interrupt arrives.
+    With more than one part, share r runs on the r-th CPU this process may
+    run on, the caller's own on the first, and the caller's CPU mask is
+    restored before this returns: unpinned, a forked worker measured on 2
+    cores often stayed on the caller's CPU for the whole call. Each worker
+    sends its int64 array back through a pipe, tagged 0, or its exception
+    pickled, tagged 1, and always ends with os._exit, so it flushes no
+    inherited stdio buffer and never returns into the caller's stack. The
+    exception is raised here again; a worker that ends without sending
+    either is a RuntimeError naming its exit status. Every worker is reaped
+    before this returns, and killed first if the caller's share or a
+    worker's raises, or an interrupt arrives.
     """
     import pickle
 
     reads: list[int] = []
     live: list[int] = []
+    mask = os.sched_getaffinity(0) if parts > 1 else set()
+    cpus = sorted(mask)
     try:
+        if parts > 1:
+            os.sched_setaffinity(0, cpus[:1])
         for r in range(1, parts):
             read, write = os.pipe()
             reads.append(read)
@@ -372,6 +380,7 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
                 status = 1
                 try:
                     try:
+                        os.sched_setaffinity(0, cpus[r : r + 1])
                         tag, payload = b"\0", share(r)
                     except BaseException as exc:
                         tag, payload = b"\1", pickle.dumps(exc)
@@ -398,6 +407,8 @@ def _forked(share: Callable[[int], np.ndarray], parts: int) -> list[np.ndarray]:
             results.append(np.frombuffer(data, dtype=np.int64))
         return results
     finally:
+        if mask:
+            os.sched_setaffinity(0, mask)
         for read in reads:
             os.close(read)
         for pid in live:

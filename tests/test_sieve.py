@@ -1224,9 +1224,13 @@ def no_child_left():
 
 
 def split(mp, parts):
-    """Make every _count_spans call from 1 integer on deal its segments to `parts` processes."""
+    """Make every _count_spans call from 1 integer on deal its segments to `parts` processes.
+
+    The CPUs are made up, so pinning a share to one of them does nothing.
+    """
     mp.setattr(sieve, "_FORK_MIN", 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    mp.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
 
 
 def failing_at(lo_fail, fail):
@@ -1295,17 +1299,32 @@ class TestSplitCounter:
     def test_caller_interrupted_kills_its_workers(self, monkeypatch):
         # The worker would sleep a minute on its segment; the caller's own share is
         # interrupted at once, and the call returns with the worker killed and reaped.
-        def interrupt(lo):
-            raise KeyboardInterrupt
+        segment_words = sieve._segment_words
 
-        sleepy = failing_at(100, lambda lo: time.sleep(60))
+        def words(lo, hi, primes):
+            if lo == 100:  # the worker's first segment
+                time.sleep(60)
+            if lo == 200:  # the caller's second segment
+                raise KeyboardInterrupt
+            return segment_words(lo, hi, primes)
+
         split(monkeypatch, 2)
-        monkeypatch.setattr(sieve, "_segment_words", lambda lo, hi, primes: (
-            interrupt(lo) if lo == 200 else sleepy(lo, hi, primes)))
+        monkeypatch.setattr(sieve, "_segment_words", words)
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             _count_spans(self.SPANS, build_basis(40).primes, 100)
         assert time.perf_counter() - t0 < 30
+        assert no_child_left()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_each_share_runs_on_its_own_cpu(self):
+        # Share r on the r-th allowed CPU, the caller's own on the first; the caller's mask
+        # is restored after the call.
+        mask = os.sched_getaffinity(0)
+        cpus = sorted(mask)
+        pinned = sieve._forked(lambda r: np.array(sorted(os.sched_getaffinity(0))), 2)
+        assert [p.tolist() for p in pinned] == [cpus[:1], cpus[1:2]]
+        assert os.sched_getaffinity(0) == mask
         assert no_child_left()
 
     def test_no_worker_outlives_a_call(self, monkeypatch):
