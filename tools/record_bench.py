@@ -19,7 +19,8 @@ stderr or the suite's summary line. The child reports its peak itself,
 through a small launcher that runs its `python -m` or `python -c` command
 in the same process and at exit writes to a side file, never to stdout,
 the larger of its own `VmHWM` and the largest `ru_maxrss` of the
-descendants it waited for: the largest single process, not their sum. The `ru_maxrss` that wait4 returns would not do: Linux carries the
+descendants it waited for: the largest single process, not their sum.
+The `ru_maxrss` that wait4 returns would not do: Linux carries the
 spawner's RSS across fork and exec into it, so it grows with whatever the
 spawner holds. Only where there is no `/proc` does the launcher write its
 own `ru_maxrss`, which has the same fault. A child that leaves the side
